@@ -3,8 +3,6 @@ package problem
 import (
 	"fmt"
 	"sort"
-
-	"tdmroute/internal/graph"
 )
 
 // Violation is one problem found by AuditSolution.
@@ -90,6 +88,7 @@ func AuditSolution(in *Instance, sol *Solution, maxPerKind int) *Audit {
 			Detail: fmt.Sprintf("routing covers %d nets, instance has %d", len(sol.Routes), nNets)})
 		return a
 	}
+	tc := newTreeCheck(in.G.NumVertices(), ne)
 	for n := 0; n < nNets; n++ {
 		terms := in.Nets[n].Terminals
 		edges := sol.Routes[n]
@@ -102,8 +101,7 @@ func AuditSolution(in *Instance, sol *Solution, maxPerKind int) *Audit {
 			add(Violation{Kind: VBadRatio, Net: n, Edge: -1,
 				Detail: fmt.Sprintf("%d ratios for %d edges", len(ratios), len(edges))})
 		}
-		dsu := graph.NewDSU(in.G.NumVertices())
-		seen := make(map[int]bool, len(edges))
+		tc.nextRoute()
 		broken := false
 		for k, e := range edges {
 			if e < 0 || e >= ne {
@@ -111,14 +109,13 @@ func AuditSolution(in *Instance, sol *Solution, maxPerKind int) *Audit {
 				broken = true
 				continue
 			}
-			if seen[e] {
+			if !tc.addEdge(e) {
 				add(Violation{Kind: VBadEdge, Net: n, Edge: e, Detail: "duplicate edge in route"})
 				broken = true
 				continue
 			}
-			seen[e] = true
 			ed := in.G.Edge(e)
-			if !dsu.Union(ed.U, ed.V) {
+			if !tc.union(ed.U, ed.V) {
 				add(Violation{Kind: VCycle, Net: n, Edge: e, Detail: "route contains a cycle"})
 				broken = true
 			}
@@ -130,8 +127,9 @@ func AuditSolution(in *Instance, sol *Solution, maxPerKind int) *Audit {
 			}
 		}
 		if !broken && len(terms) > 1 {
+			root := tc.find(terms[0])
 			for _, term := range terms[1:] {
-				if !dsu.Same(terms[0], term) {
+				if tc.find(term) != root {
 					add(Violation{Kind: VDisconnected, Net: n, Edge: -1,
 						Detail: fmt.Sprintf("terminal %d not connected", term)})
 				}

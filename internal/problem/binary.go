@@ -26,7 +26,7 @@ var (
 
 // WriteInstanceBinary emits in in the binary format.
 func WriteInstanceBinary(w io.Writer, in *Instance) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
+	bw := bufio.NewWriterSize(w, ioBufSize)
 	bw.Write(instanceMagic[:])
 	var buf [binary.MaxVarintLen64]byte
 	put := func(v uint64) {
@@ -60,7 +60,7 @@ func WriteInstanceBinary(w io.Writer, in *Instance) error {
 
 // ParseInstanceBinary reads an instance in the binary format.
 func ParseInstanceBinary(name string, r io.Reader) (*Instance, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
+	br := bufio.NewReaderSize(r, readBufSize(r))
 	var magic [6]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
 		return nil, fmt.Errorf("problem: binary magic: %w", err)
@@ -114,6 +114,7 @@ func ParseInstanceBinary(name string, r io.Reader) (*Instance, error) {
 		}
 		g.AddEdge(u, v)
 	}
+	var dups dupCheck
 	nets := make([]Net, 0, capHint(nn))
 	for i := 0; i < nn; i++ {
 		k, err := get("terminal count")
@@ -124,7 +125,7 @@ func ParseInstanceBinary(name string, r io.Reader) (*Instance, error) {
 			return nil, fmt.Errorf("problem: binary net %d has no terminals", i)
 		}
 		terms := make([]int, 0, capHint(k))
-		seen := make(map[int]bool, capHint(k))
+		dups.reset()
 		for j := 0; j < k; j++ {
 			t, err := get("terminal")
 			if err != nil {
@@ -133,10 +134,9 @@ func ParseInstanceBinary(name string, r io.Reader) (*Instance, error) {
 			if t >= nv {
 				return nil, fmt.Errorf("problem: binary net %d terminal out of range", i)
 			}
-			if seen[t] {
+			if dups.seen(terms, t) {
 				return nil, fmt.Errorf("problem: binary net %d has duplicate terminal %d", i, t)
 			}
-			seen[t] = true
 			terms = append(terms, t)
 		}
 		nets = append(nets, Net{Terminals: terms})
@@ -176,7 +176,7 @@ func ParseInstanceBinary(name string, r io.Reader) (*Instance, error) {
 
 // WriteSolutionBinary emits sol in the binary format.
 func WriteSolutionBinary(w io.Writer, sol *Solution) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
+	bw := bufio.NewWriterSize(w, ioBufSize)
 	bw.Write(solutionMagic[:])
 	var buf [binary.MaxVarintLen64]byte
 	put := func(v uint64) {
@@ -196,7 +196,7 @@ func WriteSolutionBinary(w io.Writer, sol *Solution) error {
 
 // ParseSolutionBinary reads a solution in the binary format.
 func ParseSolutionBinary(r io.Reader, numEdges int) (*Solution, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
+	br := bufio.NewReaderSize(r, readBufSize(r))
 	var magic [6]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
 		return nil, fmt.Errorf("problem: binary magic: %w", err)

@@ -3,6 +3,7 @@ package problem
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 )
 
@@ -10,12 +11,30 @@ import (
 // accepted input must satisfy the validator (run with `go test -fuzz` for
 // continuous fuzzing; the seeds below run in normal test mode).
 
+// instanceSeeds and solutionSeeds seed the fuzz targets below and the
+// differential tests against the reference parsers.
+var (
+	instanceSeeds = []string{
+		"2 1 1 1\n0 1\n2 0 1\n1 0\n",
+		tinyText,
+		"",
+		"999999999 0 0 0",
+		"3 2 2 1\n0 1\n1 2\n2 0 2\n2 1 2\n2 0 1\n# comment",
+	}
+	solutionSeeds = []struct {
+		Text     string
+		NumEdges int
+	}{
+		{"1\n1 0 2\n", 5},
+		{"0\n", 1},
+		{"2\n0\n2 0 2 1 4\n", 3},
+	}
+)
+
 func FuzzParseInstance(f *testing.F) {
-	f.Add([]byte("2 1 1 1\n0 1\n2 0 1\n1 0\n"))
-	f.Add([]byte(tinyText))
-	f.Add([]byte(""))
-	f.Add([]byte("999999999 0 0 0"))
-	f.Add([]byte("3 2 2 1\n0 1\n1 2\n2 0 2\n2 1 2\n2 0 1\n# comment"))
+	for _, s := range instanceSeeds {
+		f.Add([]byte(s))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in, err := ParseInstance("fuzz", bytes.NewReader(data))
 		if err != nil {
@@ -41,16 +60,24 @@ func FuzzParseInstance(f *testing.F) {
 	})
 }
 
+// FuzzParseSolution checks the solution parser that the coordinator runs on
+// every backend result: it never panics, accepts only in-range rows of
+// matching length, and whatever it accepts round-trips through
+// WriteSolution to an equal Solution.
 func FuzzParseSolution(f *testing.F) {
-	f.Add([]byte("1\n1 0 2\n"), 5)
-	f.Add([]byte("0\n"), 1)
-	f.Add([]byte("2\n0\n2 0 2 1 4\n"), 3)
+	for _, s := range solutionSeeds {
+		f.Add([]byte(s.Text), s.NumEdges)
+	}
 	f.Fuzz(func(t *testing.T, data []byte, numEdges int) {
 		if numEdges < 0 || numEdges > 1000 {
 			numEdges = 10
 		}
 		sol, err := ParseSolution(bytes.NewReader(data), numEdges)
 		if err != nil {
+			var pe *ParseError
+			if !errors.As(err, &pe) {
+				t.Fatalf("parse failure is not a *ParseError: %v\ninput: %q", err, data)
+			}
 			return
 		}
 		for n := range sol.Routes {
@@ -62,6 +89,17 @@ func FuzzParseSolution(f *testing.F) {
 					t.Fatalf("accepted out-of-range edge %d", e)
 				}
 			}
+		}
+		var buf bytes.Buffer
+		if err := WriteSolution(&buf, sol); err != nil {
+			t.Fatalf("write-back failed: %v", err)
+		}
+		back, err := ParseSolution(&buf, numEdges)
+		if err != nil {
+			t.Fatalf("round-trip parse failed: %v\ninput: %q", err, data)
+		}
+		if !reflect.DeepEqual(back, sol) {
+			t.Fatalf("round trip changed the solution: %+v vs %+v\ninput: %q", back, sol, data)
 		}
 	})
 }

@@ -274,6 +274,13 @@ func TestRoutingRoundTrip(t *testing.T) {
 	if len(back) != 3 || len(back[0]) != 2 || back[2][0] != 3 {
 		t.Errorf("routing round trip = %v", back)
 	}
+	buf.Reset()
+	if err := WriteRouting(&buf, routes); err != nil {
+		t.Fatal(err)
+	}
+	if want := "3\n2 0 0 2 0\n0\n1 3 0\n"; buf.String() != want {
+		t.Errorf("WriteRouting wrote %q, want %q", buf.String(), want)
+	}
 }
 
 func TestEdgeLoads(t *testing.T) {

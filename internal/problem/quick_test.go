@@ -2,6 +2,7 @@ package problem
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -192,6 +193,55 @@ func TestQuickParserNeverPanics(t *testing.T) {
 		if _, err := ParseSolution(bytes.NewReader(buf), 10); err == nil {
 			// Acceptable: structurally valid solutions can arise.
 			continue
+		}
+	}
+}
+
+// TestValidateInstanceMatchesReference corrupts valid instances the ways
+// ValidateInstance must catch (duplicate or out-of-range terminals, stale,
+// reordered or extra back-references, unsorted groups) and requires the
+// error the map-based reference reports.
+func TestValidateInstanceMatchesReference(t *testing.T) {
+	corrupt := []func(rng *rand.Rand, in *Instance){
+		func(rng *rand.Rand, in *Instance) {
+			n := &in.Nets[rng.Intn(len(in.Nets))]
+			n.Terminals = append(n.Terminals, n.Terminals[rng.Intn(len(n.Terminals))])
+		},
+		func(rng *rand.Rand, in *Instance) {
+			in.Nets[rng.Intn(len(in.Nets))].Terminals[0] = in.G.NumVertices() + rng.Intn(3) - 1
+		},
+		func(rng *rand.Rand, in *Instance) {
+			n := &in.Nets[rng.Intn(len(in.Nets))]
+			if len(n.Groups) > 1 {
+				n.Groups[0], n.Groups[1] = n.Groups[1], n.Groups[0]
+			} else {
+				n.Groups = append(n.Groups, rng.Intn(len(in.Groups)+1))
+			}
+		},
+		func(rng *rand.Rand, in *Instance) {
+			if n := &in.Nets[rng.Intn(len(in.Nets))]; len(n.Groups) > 0 {
+				n.Groups[len(n.Groups)-1]++
+			}
+		},
+		func(rng *rand.Rand, in *Instance) {
+			in.Nets[rng.Intn(len(in.Nets))].Groups = nil
+		},
+		func(rng *rand.Rand, in *Instance) {
+			if len(in.Groups) > 0 {
+				g := &in.Groups[rng.Intn(len(in.Groups))]
+				g.Nets = append(g.Nets, g.Nets[0])
+			}
+		},
+	}
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		in := randomValidInstance(seed)
+		for k := 1 + rng.Intn(2); k > 0; k-- {
+			corrupt[rng.Intn(len(corrupt))](rng, in)
+		}
+		got, want := ValidateInstance(in), refValidateInstance(in)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("seed %d: ValidateInstance = %v, reference %v", seed, got, want)
 		}
 	}
 }

@@ -3,8 +3,6 @@ package problem
 import (
 	"errors"
 	"fmt"
-
-	"tdmroute/internal/graph"
 )
 
 // ErrDisconnected reports an instance whose FPGA graph cannot carry its
@@ -19,20 +17,20 @@ var ErrDisconnected = errors.New("FPGA graph is not connected but multi-FPGA net
 // Net.Groups back-references.
 func ValidateInstance(in *Instance) error {
 	nv := in.G.NumVertices()
+	var dups dupCheck
 	for i := range in.Nets {
 		terms := in.Nets[i].Terminals
 		if len(terms) == 0 {
 			return fmt.Errorf("net %d has no terminals", i)
 		}
-		seen := make(map[int]bool, len(terms))
-		for _, t := range terms {
+		dups.reset()
+		for j, t := range terms {
 			if t < 0 || t >= nv {
 				return fmt.Errorf("net %d: terminal %d out of range [0,%d)", i, t, nv)
 			}
-			if seen[t] {
+			if dups.seen(terms[:j], t) {
 				return fmt.Errorf("net %d: duplicate terminal %d", i, t)
 			}
-			seen[t] = true
 		}
 	}
 	for gi := range in.Groups {
@@ -49,22 +47,29 @@ func ValidateInstance(in *Instance) error {
 			}
 		}
 	}
-	// Back-references must match group membership exactly.
-	want := make([][]int, len(in.Nets))
+	// Back-references must match group membership exactly. Walking the
+	// groups in order visits net n's groups in the order n.Groups must
+	// list them: count them, and note where each list first disagrees.
+	count := make([]int, len(in.Nets))
+	firstBad := make([]int, len(in.Nets))
+	for i := range firstBad {
+		firstBad[i] = -1
+	}
 	for gi := range in.Groups {
 		for _, n := range in.Groups[gi].Nets {
-			want[n] = append(want[n], gi)
+			got, j := in.Nets[n].Groups, count[n]
+			if j < len(got) && got[j] != gi && firstBad[n] < 0 {
+				firstBad[n] = j
+			}
+			count[n]++
 		}
 	}
 	for i := range in.Nets {
-		got := in.Nets[i].Groups
-		if len(got) != len(want[i]) {
-			return fmt.Errorf("net %d: Groups back-reference has %d entries, want %d (call RebuildNetGroups)", i, len(got), len(want[i]))
+		if got := in.Nets[i].Groups; len(got) != count[i] {
+			return fmt.Errorf("net %d: Groups back-reference has %d entries, want %d (call RebuildNetGroups)", i, len(got), count[i])
 		}
-		for j := range got {
-			if got[j] != want[i][j] {
-				return fmt.Errorf("net %d: Groups back-reference mismatch at %d", i, j)
-			}
+		if firstBad[i] >= 0 {
+			return fmt.Errorf("net %d: Groups back-reference mismatch at %d", i, firstBad[i])
 		}
 	}
 	if needsRouting(in) && !in.G.Connected() {
@@ -90,6 +95,7 @@ func ValidateRouting(in *Instance, routes Routing) error {
 		return fmt.Errorf("routing has %d nets, instance has %d", len(routes), len(in.Nets))
 	}
 	ne := in.G.NumEdges()
+	var tc *treeCheck
 	for n, edges := range routes {
 		terms := in.Nets[n].Terminals
 		if len(terms) <= 1 {
@@ -101,28 +107,110 @@ func ValidateRouting(in *Instance, routes Routing) error {
 		if len(edges) == 0 {
 			return fmt.Errorf("net %d: multi-terminal net is unrouted", n)
 		}
-		dsu := graph.NewDSU(in.G.NumVertices())
-		seen := make(map[int]bool, len(edges))
+		if tc == nil {
+			tc = newTreeCheck(in.G.NumVertices(), ne)
+		}
+		tc.nextRoute()
 		for _, e := range edges {
 			if e < 0 || e >= ne {
 				return fmt.Errorf("net %d: edge id %d out of range", n, e)
 			}
-			if seen[e] {
+			if !tc.addEdge(e) {
 				return fmt.Errorf("net %d: duplicate edge %d", n, e)
 			}
-			seen[e] = true
 			ed := in.G.Edge(e)
-			if !dsu.Union(ed.U, ed.V) {
+			if !tc.union(ed.U, ed.V) {
 				return fmt.Errorf("net %d: route contains a cycle at edge %d", n, e)
 			}
 		}
+		root := tc.find(terms[0])
 		for _, t := range terms[1:] {
-			if !dsu.Same(terms[0], t) {
+			if tc.find(t) != root {
 				return fmt.Errorf("net %d: terminal %d not connected by route", n, t)
 			}
 		}
 	}
 	return nil
+}
+
+// treeCheck is the per-route scratch of ValidateRouting and AuditSolution,
+// allocated once per call instead of once per net. Both its edge marks and
+// its union-find are stamped with the current route's epoch: a vertex whose
+// stamp is stale is a singleton, so starting the next route resets nothing.
+type treeCheck struct {
+	epoch  uint32
+	edgeAt []uint32 // edgeAt[e] == epoch: e is in the current route
+	vertAt []uint32 // vertAt[v] == epoch: parent[v] and size[v] are live
+	parent []int32
+	size   []int32
+}
+
+func newTreeCheck(nv, ne int) *treeCheck {
+	return &treeCheck{
+		edgeAt: make([]uint32, ne),
+		vertAt: make([]uint32, nv),
+		parent: make([]int32, nv),
+		size:   make([]int32, nv),
+	}
+}
+
+// nextRoute empties the edge set and makes every vertex a singleton.
+func (c *treeCheck) nextRoute() {
+	c.epoch++
+	if c.epoch == 0 { // wrapped: stale stamps could collide
+		clear(c.edgeAt)
+		clear(c.vertAt)
+		c.epoch = 1
+	}
+}
+
+// addEdge adds e to the current route's edge set and reports false when e
+// was already in it.
+func (c *treeCheck) addEdge(e int) bool {
+	if c.edgeAt[e] == c.epoch {
+		return false
+	}
+	c.edgeAt[e] = c.epoch
+	return true
+}
+
+// find returns the representative of v's set, halving paths.
+func (c *treeCheck) find(v int) int {
+	if c.vertAt[v] != c.epoch {
+		return v
+	}
+	x := int32(v)
+	for c.parent[x] != x {
+		c.parent[x] = c.parent[c.parent[x]]
+		x = c.parent[x]
+	}
+	return int(x)
+}
+
+// union merges the sets of u and v by size and reports false when they were
+// already one set (the edge closes a cycle).
+func (c *treeCheck) union(u, v int) bool {
+	ru, rv := c.find(u), c.find(v)
+	if ru == rv {
+		return false
+	}
+	c.live(ru)
+	c.live(rv)
+	if c.size[ru] < c.size[rv] {
+		ru, rv = rv, ru
+	}
+	c.parent[rv] = int32(ru)
+	c.size[ru] += c.size[rv]
+	return true
+}
+
+// live makes the singleton root r's entries valid for the current route.
+func (c *treeCheck) live(r int) {
+	if c.vertAt[r] != c.epoch {
+		c.vertAt[r] = c.epoch
+		c.parent[r] = int32(r)
+		c.size[r] = 1
+	}
 }
 
 // ValidateSolution checks routing legality plus the TDM ratio constraints of

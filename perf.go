@@ -1,10 +1,7 @@
 package tdmroute
 
 import (
-	"bufio"
-	"os"
-	"strconv"
-	"strings"
+	"runtime/metrics"
 	"time"
 )
 
@@ -21,11 +18,12 @@ type Perf struct {
 	LegalRefineSec float64
 	TotalSec       float64
 	// PeakRSSBytes is the process's peak resident set size when the solve
-	// finished (VmHWM), or 0 when the platform does not expose it. It is a
-	// process-lifetime high-water mark, not a per-request delta.
+	// finished (getrusage ru_maxrss), or 0 when the platform does not
+	// expose it. It is a process-lifetime high-water mark, not a
+	// per-request delta.
 	PeakRSSBytes int64
 	// Allocs is the number of heap objects allocated during the solve
-	// (runtime MemStats.Mallocs delta across Run).
+	// (the runtime/metrics heap allocation count, delta across Run).
 	Allocs uint64
 	// RippedNets and RevertedRounds mirror the routing-stage counters
 	// (RouteStats) so perf consumers need only this block.
@@ -46,31 +44,22 @@ func perfFromTimes(t StageTimes) Perf {
 	}
 }
 
-// peakRSSBytes reads the process's peak resident set size from
-// /proc/self/status (VmHWM). It returns 0 on any failure — non-Linux
-// platforms, restricted /proc — so perf reporting degrades gracefully
-// instead of failing the solve.
-func peakRSSBytes() int64 {
-	f, err := os.Open("/proc/self/status")
-	if err != nil {
-		return 0
+// heapAllocs returns the number of heap objects allocated by the process
+// so far, tiny-allocator objects included (the count MemStats.Mallocs
+// reports). Unlike runtime.ReadMemStats it does not stop the world, so
+// reading it around every solve does not stall a busy server's other
+// goroutines.
+func heapAllocs() uint64 {
+	s := [2]metrics.Sample{
+		{Name: "/gc/heap/allocs:objects"},
+		{Name: "/gc/heap/tiny/allocs:objects"},
 	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, "VmHWM:") {
-			continue
+	metrics.Read(s[:])
+	var n uint64
+	for _, x := range s {
+		if x.Value.Kind() == metrics.KindUint64 {
+			n += x.Value.Uint64()
 		}
-		fields := strings.Fields(line[len("VmHWM:"):])
-		if len(fields) < 1 {
-			return 0
-		}
-		kb, err := strconv.ParseInt(fields[0], 10, 64)
-		if err != nil {
-			return 0
-		}
-		return kb * 1024
 	}
-	return 0
+	return n
 }

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"strconv"
 	"time"
 )
@@ -192,14 +191,11 @@ func Run(ctx context.Context, req Request) (*Response, error) {
 	}
 	req.Options = opt
 	req = req.wireProgress()
-	var ms0 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
+	allocs0 := heapAllocs()
 	resp, err := dispatch(ctx, req)
 	if resp != nil {
-		var ms1 runtime.MemStats
-		runtime.ReadMemStats(&ms1)
 		resp.Perf = perfFromTimes(resp.Times)
-		resp.Perf.Allocs = ms1.Mallocs - ms0.Mallocs
+		resp.Perf.Allocs = heapAllocs() - allocs0
 		resp.Perf.PeakRSSBytes = peakRSSBytes()
 		resp.Perf.RippedNets = resp.RouteStats.RippedNets
 		resp.Perf.RevertedRounds = resp.RouteStats.RevertedRound

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -127,6 +128,22 @@ func TestRunNormalizesWorkers(t *testing.T) {
 				t.Fatalf("%v: workers=%d diverged from workers=1", mode, workers)
 			}
 		}
+	}
+}
+
+// TestRunPerfCounters checks that the process-level counters of
+// Response.Perf are live: a solve allocates, and on Linux the peak resident
+// set size is reported.
+func TestRunPerfCounters(t *testing.T) {
+	resp, err := Run(context.Background(), Request{Instance: requestInstance(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Perf.Allocs == 0 {
+		t.Error("Perf.Allocs = 0 for a full solve")
+	}
+	if runtime.GOOS == "linux" && resp.Perf.PeakRSSBytes <= 0 {
+		t.Errorf("Perf.PeakRSSBytes = %d on linux", resp.Perf.PeakRSSBytes)
 	}
 }
 
