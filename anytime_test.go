@@ -42,7 +42,7 @@ func TestSolveCtxCancelMidLR(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	opt := cancelAtIter(tdmroute.Options{TDM: tdmroute.TDMOptions{Epsilon: 1e-9, MaxIter: 500}}, cancel, 5)
-	res, err := tdmroute.SolveCtx(ctx, in, opt)
+	res, err := tdmroute.Run(ctx, tdmroute.Request{Instance: in, Options: opt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,28 +72,29 @@ func TestSolveCtxCancelMidLR(t *testing.T) {
 // a fixed topology.)
 func TestAssignTDMCtxCancelWorkerInvariant(t *testing.T) {
 	in := anytimeInstance(t)
-	base, err := tdmroute.Solve(in, tdmroute.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	topo := base.Solution.Routes
+	topo := solve(t, tdmroute.Request{Instance: in}).Solution.Routes
 	assign := func(workers int) []byte {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		topt := tdmroute.TDMOptions{Epsilon: 1e-9, MaxIter: 400, Workers: workers}
-		topt.Trace = func(iter int, z, lb float64) {
+		opt := tdmroute.Options{Workers: workers, TDM: tdmroute.TDMOptions{Epsilon: 1e-9, MaxIter: 400}}
+		opt.TDM.Trace = func(iter int, z, lb float64) {
 			if iter >= 7 {
 				cancel()
 			}
 		}
-		a, rep, err := tdmroute.AssignTDMCtx(ctx, in, topo, topt)
+		res, err := tdmroute.Run(ctx, tdmroute.Request{
+			Instance: in,
+			Mode:     tdmroute.ModeAssignOnly,
+			Options:  opt,
+			Routing:  topo,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep.Interrupted == nil {
+		if res.Report.Interrupted == nil {
 			t.Fatal("expected an interrupted assignment")
 		}
-		sol := &tdmroute.Solution{Routes: topo, Assign: a}
+		sol := res.Solution
 		if err := problem.ValidateSolution(in, sol); err != nil {
 			t.Fatalf("interrupted assignment is not legal: %v", err)
 		}
@@ -118,7 +119,7 @@ func TestSolveCtxCancelDeterministic(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		opt := cancelAtIter(tdmroute.Options{TDM: tdmroute.TDMOptions{Epsilon: 1e-9, MaxIter: 400}}, cancel, 3)
-		res, err := tdmroute.SolveCtx(ctx, in, opt)
+		res, err := tdmroute.Run(ctx, tdmroute.Request{Instance: in, Options: opt})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +138,7 @@ func TestSolveCtxPreCancelledIsError(t *testing.T) {
 	in := anytimeInstance(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := tdmroute.SolveCtx(ctx, in, tdmroute.Options{})
+	res, err := tdmroute.Run(ctx, tdmroute.Request{Instance: in})
 	if err == nil {
 		t.Fatalf("pre-cancelled solve returned a result (degraded=%v); no legal incumbent can exist", res.Degraded)
 	}
@@ -150,7 +151,7 @@ func TestSolveCtxExpiredDeadline(t *testing.T) {
 	in := anytimeInstance(t)
 	ctx, cancel := context.WithDeadline(context.Background(), time.Unix(0, 0))
 	defer cancel()
-	_, err := tdmroute.SolveCtx(ctx, in, tdmroute.Options{})
+	_, err := tdmroute.Run(ctx, tdmroute.Request{Instance: in})
 	if err == nil {
 		t.Fatal("expired deadline before routing returned a result")
 	}
@@ -166,17 +167,19 @@ func TestSolveIterativeCtxCancelBetweenRounds(t *testing.T) {
 	// Cancel deep into LR so the base solve completes its budget but the
 	// feedback rounds find the context dead.
 	fired := 0
-	opt := tdmroute.IterateOptions{
-		Rounds: 3,
-		Base:   tdmroute.Options{TDM: tdmroute.TDMOptions{Epsilon: 1e-9, MaxIter: 30}},
+	req := tdmroute.Request{
+		Instance: in,
+		Mode:     tdmroute.ModeIterative,
+		Rounds:   3,
+		Options:  tdmroute.Options{TDM: tdmroute.TDMOptions{Epsilon: 1e-9, MaxIter: 30}},
 	}
-	opt.Base.TDM.Trace = func(iter int, z, lb float64) {
+	req.Options.TDM.Trace = func(iter int, z, lb float64) {
 		fired++
 		if fired > 40 {
 			cancel()
 		}
 	}
-	res, err := tdmroute.SolveIterativeCtx(ctx, in, opt)
+	res, err := tdmroute.Run(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,17 +196,19 @@ func TestSolveIterativeTimesSurviveCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	fired := 0
-	opt := tdmroute.IterateOptions{
-		Rounds: 3,
-		Base:   tdmroute.Options{TDM: tdmroute.TDMOptions{Epsilon: 1e-9, MaxIter: 50}},
+	req := tdmroute.Request{
+		Instance: in,
+		Mode:     tdmroute.ModeIterative,
+		Rounds:   3,
+		Options:  tdmroute.Options{TDM: tdmroute.TDMOptions{Epsilon: 1e-9, MaxIter: 50}},
 	}
-	opt.Base.TDM.Trace = func(iter int, z, lb float64) {
+	req.Options.TDM.Trace = func(iter int, z, lb float64) {
 		fired++
 		if fired > 60 {
 			cancel()
 		}
 	}
-	res, err := tdmroute.SolveIterativeCtx(ctx, in, opt)
+	res, err := tdmroute.Run(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}

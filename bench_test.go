@@ -75,9 +75,7 @@ func BenchmarkTableIIRowWinner(b *testing.B) {
 func BenchmarkTableIIRowOurs(b *testing.B) {
 	in := genInstance(b, "synopsys01", benchScale)
 	for i := 0; i < b.N; i++ {
-		if _, err := tdmroute.Solve(in, tdmroute.Options{}); err != nil {
-			b.Fatal(err)
-		}
+		solve(b, tdmroute.Request{Instance: in})
 	}
 }
 
@@ -91,9 +89,7 @@ func BenchmarkTableIIRowPlusTA(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := tdmroute.AssignTDM(in, routes, tdmroute.TDMOptions{}); err != nil {
-			b.Fatal(err)
-		}
+		solve(b, tdmroute.Request{Instance: in, Mode: tdmroute.ModeAssignOnly, Routing: routes})
 	}
 }
 
@@ -183,10 +179,7 @@ func BenchmarkStageParse(b *testing.B) {
 
 func BenchmarkStageOutput(b *testing.B) {
 	in := genInstance(b, "synopsys01", benchScale)
-	res, err := tdmroute.Solve(in, tdmroute.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
+	res := solve(b, tdmroute.Request{Instance: in})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := problem.WriteSolution(io.Discard, res.Solution); err != nil {
@@ -321,9 +314,7 @@ func BenchmarkCompileFlow(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := tdmroute.Solve(in, tdmroute.Options{}); err != nil {
-			b.Fatal(err)
-		}
+		solve(b, tdmroute.Request{Instance: in})
 	}
 }
 
@@ -331,10 +322,7 @@ func BenchmarkCompileFlow(b *testing.B) {
 // verification, pin assignment, timing analysis.
 func BenchmarkDownstream(b *testing.B) {
 	in := genInstance(b, "synopsys01", benchScale)
-	res, err := tdmroute.Solve(in, tdmroute.Options{TDM: tdmroute.TDMOptions{Legal: tdmroute.LegalPow2}})
-	if err != nil {
-		b.Fatal(err)
-	}
+	res := solve(b, tdmroute.Request{Instance: in, Options: tdmroute.Options{TDM: tdmroute.TDMOptions{Legal: tdmroute.LegalPow2}}})
 	b.Run("VerifySchedules", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, _, err := tdmroute.VerifySchedules(in, res.Solution); err != nil {

@@ -67,7 +67,6 @@ func benchMain() int {
 		ascii     = flag.Bool("ascii", false, "render figures as ASCII charts (3a bars, 3b curves)")
 		timeout   = flag.Duration("timeout", 0, "wall-clock budget; partial results are still written on expiry (0 = unlimited)")
 		workers   = flag.Int("workers", 1, "worker goroutines per solve (1 = sequential; try runtime.NumCPU())")
-		queue     = flag.String("queue", "auto", "routing Dijkstra engine: auto, heap, or bucket")
 		parts     = flag.Int("partitions", 0, "spatial regions for partitioned initial routing (0 = auto, 1 = off)")
 		verbose   = flag.Bool("v", false, "print per-benchmark progress to stderr")
 		benchjson = flag.String("benchjson", "", "write the iterated-solve perf measurement to this file as JSON")
@@ -87,7 +86,7 @@ func benchMain() int {
 		return 1
 	}
 	defer stopProf()
-	cfg := exp.Config{Scale: *scale, Workers: *workers, Queue: *queue, Partitions: *parts, Ctx: ctx}
+	cfg := exp.Config{Scale: *scale, Workers: *workers, Partitions: *parts, Ctx: ctx}
 	if *subset != "" {
 		cfg.Benchmarks = strings.Split(*subset, ",")
 	}

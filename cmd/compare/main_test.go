@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -27,7 +28,7 @@ func fixtures(t *testing.T) (inPath, aPath, bPath string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := tdmroute.Solve(in, tdmroute.Options{})
+	res, err := tdmroute.Run(context.Background(), tdmroute.Request{Instance: in})
 	if err != nil {
 		t.Fatal(err)
 	}

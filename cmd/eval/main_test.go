@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -19,7 +20,7 @@ func fixtures(t *testing.T) (inPath, solPath string, inst *tdmroute.Instance, so
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := tdmroute.Solve(inst, tdmroute.Options{})
+	res, err := tdmroute.Run(context.Background(), tdmroute.Request{Instance: inst})
 	if err != nil {
 		t.Fatal(err)
 	}

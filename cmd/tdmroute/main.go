@@ -6,7 +6,7 @@
 //
 //	tdmroute -in bench.txt [-out sol.txt] [-topology routes.txt]
 //	         [-epsilon 0.0027] [-maxiter 500] [-ripup 5] [-workers N]
-//	         [-queue auto|heap|bucket] [-partitions N]
+//	         [-partitions N]
 //	         [-timeout 30s] [-trace] [-cpuprofile cpu.out]
 //
 // With -topology, the routing stage is skipped and the TDM ratio assignment
@@ -46,7 +46,6 @@ func main() {
 		iterate  = flag.Int("iterate", 0, "feedback rounds of iterated co-optimization (0 = single pass)")
 		timeout  = flag.Duration("timeout", 0, "wall-clock budget; on expiry the best-so-far solution is still written (0 = unlimited)")
 		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines for routing and TDM assignment (1 = sequential)")
-		queue    = flag.String("queue", "auto", "routing Dijkstra engine: auto, heap, or bucket (identical results, different speed)")
 		parts    = flag.Int("partitions", 0, "spatial regions for partitioned initial routing (0 = auto, 1 = off)")
 		cpuprof  = flag.String("cpuprofile", "", "write a pprof CPU profile of the solve to this file")
 	)
@@ -72,7 +71,7 @@ func main() {
 	}
 	ctx, cancel := solveContext(*timeout)
 	defer cancel()
-	degraded, err := run(ctx, *inPath, *outPath, *topoPath, *epsilon, *maxIter, *ripup, *workers, *queue, *parts, *trace, *jsonIO, *pow2, *iterate)
+	degraded, err := run(ctx, *inPath, *outPath, *topoPath, *epsilon, *maxIter, *ripup, *workers, *parts, *trace, *jsonIO, *pow2, *iterate)
 	stopProf()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tdmroute:", err)
@@ -109,7 +108,7 @@ func solveContext(timeout time.Duration) (context.Context, context.CancelFunc) {
 	return ctx, cancel
 }
 
-func run(ctx context.Context, inPath, outPath, topoPath string, epsilon float64, maxIter, ripup, workers int, queue string, partitions int, trace, jsonIO, pow2 bool, iterate int) (degraded bool, err error) {
+func run(ctx context.Context, inPath, outPath, topoPath string, epsilon float64, maxIter, ripup, workers, partitions int, trace, jsonIO, pow2 bool, iterate int) (degraded bool, err error) {
 	t0 := time.Now()
 	in, err := loadInstance(inPath, jsonIO)
 	if err != nil {
@@ -122,7 +121,7 @@ func run(ctx context.Context, inPath, outPath, topoPath string, epsilon float64,
 	stats := tdmroute.ComputeStats(in)
 	fmt.Println(stats)
 
-	topt := tdmroute.TDMOptions{Epsilon: epsilon, MaxIter: maxIter, Workers: workers}
+	topt := tdmroute.TDMOptions{Epsilon: epsilon, MaxIter: maxIter}
 	if pow2 {
 		topt.Legal = tdmroute.LegalPow2
 	}
@@ -138,7 +137,6 @@ func run(ctx context.Context, inPath, outPath, topoPath string, epsilon float64,
 			Route:      tdmroute.RouteOptions{RipUpRounds: ripup},
 			TDM:        topt,
 			Workers:    workers,
-			Queue:      queue,
 			Partitions: partitions,
 		},
 	}

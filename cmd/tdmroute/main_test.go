@@ -32,7 +32,7 @@ func writeBench(t *testing.T) string {
 func TestRunFullFlow(t *testing.T) {
 	in := writeBench(t)
 	out := filepath.Join(t.TempDir(), "sol.txt")
-	if _, err := run(context.Background(), in, out, "", 0, 0, 0, 2, "auto", 0, false, false, false, 0); err != nil {
+	if _, err := run(context.Background(), in, out, "", 0, 0, 0, 2, 0, false, false, false, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(out); err != nil {
@@ -55,12 +55,12 @@ func TestRunFullFlow(t *testing.T) {
 func TestRunTopologyOnly(t *testing.T) {
 	in := writeBench(t)
 	solPath := filepath.Join(t.TempDir(), "sol.txt")
-	if _, err := run(context.Background(), in, solPath, "", 0, 0, 0, 1, "auto", 0, false, false, false, 0); err != nil {
+	if _, err := run(context.Background(), in, solPath, "", 0, 0, 0, 1, 0, false, false, false, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Use the solution file as a topology input (ratios ignored).
 	out2 := filepath.Join(t.TempDir(), "sol2.txt")
-	if _, err := run(context.Background(), in, out2, solPath, 0.01, 100, 0, 2, "auto", 0, true, false, false, 0); err != nil {
+	if _, err := run(context.Background(), in, out2, solPath, 0.01, 100, 0, 2, 0, true, false, false, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(out2); err != nil {
@@ -69,11 +69,11 @@ func TestRunTopologyOnly(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
-	if _, err := run(context.Background(), "/nonexistent/x.txt", "", "", 0, 0, 0, 0, "auto", 0, false, false, false, 0); err == nil {
+	if _, err := run(context.Background(), "/nonexistent/x.txt", "", "", 0, 0, 0, 0, 0, false, false, false, 0); err == nil {
 		t.Error("missing input accepted")
 	}
 	in := writeBench(t)
-	if _, err := run(context.Background(), in, "", "/nonexistent/topo.txt", 0, 0, 0, 0, "auto", 0, false, false, false, 0); err == nil {
+	if _, err := run(context.Background(), in, "", "/nonexistent/topo.txt", 0, 0, 0, 0, 0, false, false, false, 0); err == nil {
 		t.Error("missing topology accepted")
 	}
 	// Corrupt instance file.
@@ -81,7 +81,7 @@ func TestRunErrors(t *testing.T) {
 	if err := os.WriteFile(bad, []byte("not numbers"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := run(context.Background(), bad, "", "", 0, 0, 0, 0, "auto", 0, false, false, false, 0); err == nil {
+	if _, err := run(context.Background(), bad, "", "", 0, 0, 0, 0, 0, false, false, false, 0); err == nil {
 		t.Error("corrupt instance accepted")
 	}
 }
@@ -107,7 +107,7 @@ func TestRunJSONIO(t *testing.T) {
 	}
 	f.Close()
 	outPath := filepath.Join(dir, "sol.json")
-	if _, err := run(context.Background(), inPath, outPath, "", 0, 0, 0, 0, "auto", 0, false, true, false, 0); err != nil {
+	if _, err := run(context.Background(), inPath, outPath, "", 0, 0, 0, 0, 0, false, true, false, 0); err != nil {
 		t.Fatal(err)
 	}
 	sf, err := os.Open(outPath)
@@ -127,7 +127,7 @@ func TestRunJSONIO(t *testing.T) {
 func TestRunIterateAndPow2(t *testing.T) {
 	in := writeBench(t)
 	out := filepath.Join(t.TempDir(), "sol.txt")
-	if _, err := run(context.Background(), in, out, "", 0, 0, 0, 2, "auto", 0, false, false, true, 2); err != nil {
+	if _, err := run(context.Background(), in, out, "", 0, 0, 0, 2, 0, false, false, true, 2); err != nil {
 		t.Fatal(err)
 	}
 	inst, err := tdmroute.LoadInstance(in)
@@ -160,7 +160,7 @@ func TestRunTimeoutAnytime(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "sol.txt")
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
-	degraded, err := run(ctx, in, out, "", 1e-9, 5000, 0, 1, "auto", 0, false, false, false, 0)
+	degraded, err := run(ctx, in, out, "", 1e-9, 5000, 0, 1, 0, false, false, false, 0)
 	if err != nil {
 		if !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("timeout produced a non-context error: %v", err)

@@ -6,7 +6,7 @@
 // of nets therefore costs O(changed) routing work plus a warm-started
 // relaxation, instead of the O(instance) cold pipeline, while producing a
 // solution byte-identical to cold-solving the patched instance (the
-// runDeltaCold reference, pinned by the delta equivalence suite).
+// runDeltaCold test reference, pinned by the delta equivalence suite).
 package tdmroute
 
 import (
@@ -297,6 +297,20 @@ func degradedCause(rep Report, ctx context.Context) error {
 	return errCurtailed
 }
 
+// stageDegraded is the Degraded report of a run whose earliest curtailed
+// stage is stage, or nil when stage is "" (the full budget ran).
+func stageDegraded(ctx context.Context, stage Stage, rep Report) *Degraded {
+	if stage == "" {
+		return nil
+	}
+	return &Degraded{
+		Stage:        stage,
+		Cause:        degradedCause(rep, ctx),
+		LRIterations: rep.Iterations,
+		IncumbentGTR: rep.GTRMax,
+	}
+}
+
 // runSingleRetained is runSingle executed through retainable sessions: the
 // same stages over the same state (the session wrappers compute exactly what
 // their cold counterparts compute), with the session and multipliers kept in
@@ -308,11 +322,10 @@ func runSingleRetained(ctx context.Context, req Request) (*Response, error) {
 		rs:  route.NewSession(req.Instance, req.Options.Route),
 		ts:  tdm.NewSession(req.Instance),
 	}
-	res, err := solveBaseSession(ctx, req.Instance, req.Options, h.rs, h.ts, &h.lambda)
+	resp, err := solveBaseSession(ctx, req.Instance, req.Options, h.rs, h.ts, &h.lambda)
 	if err != nil {
 		return nil, err
 	}
-	resp := res.response(ModeSingle)
 	resp.Warm = h
 	return resp, nil
 }
@@ -321,7 +334,8 @@ func runSingleRetained(ctx context.Context, req Request) (*Response, error) {
 // handle, patch the instance and both sessions, reroute only the affected
 // nets, and re-run the assignment warm-started from the captured
 // multipliers. The result is byte-identical to cold-solving the patched
-// instance from the same pre-delta routing (runDeltaCold).
+// instance from the same pre-delta routing (the runDeltaCold test
+// reference).
 //
 // Failure semantics: a delta rejected by validation leaves the handle
 // untouched and reusable. A failure after the state has been mutated —
@@ -400,14 +414,7 @@ func runDelta(ctx context.Context, req Request) (*Response, error) {
 	}
 	res.Report = rep
 	res.Solution = &Solution{Routes: h.rs.Routes(), Assign: assign}
-	if stage != "" {
-		res.Degraded = &Degraded{
-			Stage:        stage,
-			Cause:        degradedCause(rep, ctx),
-			LRIterations: rep.Iterations,
-			IncumbentGTR: rep.GTRMax,
-		}
-	}
+	res.Degraded = stageDegraded(ctx, stage, rep)
 	res.Warm = h
 	return res, nil
 }
@@ -446,97 +453,4 @@ func deltaAffectedNets(routes Routing, added []int, bias []EdgeBiasEdit) []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// runDeltaCold is the from-scratch reference implementation of the delta
-// solve, kept for the equivalence suite (the delta analogue of
-// solveIterativeCold): apply the delta to a frozen pre-delta instance, seed
-// a fresh routing session from the pre-delta topology, replay the cumulative
-// edge bias, reroute the affected nets, and run a cold LR build warm-started
-// from the same multipliers. priorBias replays bias applied by earlier
-// deltas on the same warm state; stale plays the role of WarmHandle.stale
-// (it only widens the changed set, which the cold build ignores anyway). The
-// returned routing and multipliers chain into the next cold step.
-func runDeltaCold(ctx context.Context, in *Instance, base Routing, priorBias []EdgeBiasEdit, lambda []float64, d *Delta, opt Options) (*Response, Routing, []float64, error) {
-	opt, optErr := opt.normalized()
-	if optErr != nil {
-		return nil, nil, nil, optErr
-	}
-	if err := d.validate(in, cumulativeBias(priorBias)); err != nil {
-		return nil, nil, nil, err
-	}
-	added := d.apply(in)
-	routes := base.Clone()
-	for range added {
-		routes = append(routes, nil)
-	}
-	rs, err := route.NewSessionFromRouting(in, routes, opt.Route)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	for _, eb := range priorBias {
-		if err := rs.AddEdgeBias(eb.Edge, eb.Delta); err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	if err := rs.Remove(d.RemoveNets); err != nil {
-		return nil, nil, nil, err
-	}
-	for _, eb := range d.EdgeBias {
-		if err := rs.AddEdgeBias(eb.Edge, eb.Delta); err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	affected := deltaAffectedNets(rs.RoutesAlias(), added, d.EdgeBias)
-
-	res := &Response{Mode: ModeDelta}
-	t0 := time.Now()
-	err = par.Capture(func() error {
-		return rs.Reroute(ctx, affected)
-	})
-	res.Times.Route = time.Since(t0)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if verr := problem.ValidateRouting(in, rs.RoutesAlias()); verr != nil {
-		return nil, nil, nil, fmt.Errorf("tdmroute: delta reroute produced invalid topology: %w", verr)
-	}
-	res.RouteStats = RouteStats{
-		RoutedNets: len(affected),
-		RippedNets: len(affected) - len(added) + len(d.RemoveNets),
-	}
-
-	topt := opt.TDM
-	topt.WarmLambda = lambda
-	var captured []float64
-	topt.CaptureLambda = func(l []float64) { captured = l }
-	assign, rep, times, stage, err := assignTimed(ctx, in, rs.RoutesAlias(), topt)
-	res.Times.LR = times.LR
-	res.Times.LegalRefine = times.LegalRefine
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	res.Report = rep
-	res.Solution = &Solution{Routes: rs.Routes(), Assign: assign}
-	if stage != "" {
-		res.Degraded = &Degraded{
-			Stage:        stage,
-			Cause:        degradedCause(rep, ctx),
-			LRIterations: rep.Iterations,
-			IncumbentGTR: rep.GTRMax,
-		}
-	}
-	return res, rs.Routes(), captured, nil
-}
-
-// cumulativeBias folds a replayed bias-edit list into a per-edge lookup.
-func cumulativeBias(edits []EdgeBiasEdit) func(edge int) int64 {
-	if len(edits) == 0 {
-		return nil
-	}
-	cum := make(map[int]int64, len(edits))
-	for _, eb := range edits {
-		cum[eb.Edge] += int64(eb.Delta)
-	}
-	return func(edge int) int64 { return cum[edge] }
 }

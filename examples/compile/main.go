@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -76,7 +77,7 @@ func main() {
 	if *pow2 {
 		opt.TDM.Legal = tdmroute.LegalPow2
 	}
-	res, err := tdmroute.Solve(in, opt)
+	res, err := tdmroute.Run(context.Background(), tdmroute.Request{Instance: in, Options: opt})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -42,20 +43,25 @@ func main() {
 		own := &tdmroute.Solution{Routes: routes, Assign: w.Assign(in, routes)}
 		ownGTR, _ := tdmroute.Evaluate(in, own)
 
-		assign, rep, err := tdmroute.AssignTDM(in, routes, topt)
+		ta, err := tdmroute.Run(context.Background(), tdmroute.Request{
+			Instance: in,
+			Mode:     tdmroute.ModeAssignOnly,
+			Options:  tdmroute.Options{TDM: topt},
+			Routing:  routes,
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		improved := &tdmroute.Solution{Routes: routes, Assign: assign}
-		if err := tdmroute.ValidateSolution(in, improved); err != nil {
+		if err := tdmroute.ValidateSolution(in, ta.Solution); err != nil {
 			log.Fatal(err)
 		}
+		rep := ta.Report
 		fmt.Printf("%s: own GTR_max %d  ->  +TA GTR_max %d (LB %.0f, %d iters, %.2f%% improvement)\n",
 			w.Name, ownGTR, rep.GTRMax, rep.LowerBound, rep.Iterations,
 			100*(1-float64(rep.GTRMax)/float64(ownGTR)))
 	}
 
-	res, err := tdmroute.Solve(in, tdmroute.Options{TDM: topt})
+	res, err := tdmroute.Run(context.Background(), tdmroute.Request{Instance: in, Options: tdmroute.Options{TDM: topt}})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -44,7 +45,7 @@ func main() {
 			log.Fatal(err)
 		}
 		t0 := time.Now()
-		res, err := tdmroute.Solve(in, tdmroute.Options{})
+		res, err := tdmroute.Run(context.Background(), tdmroute.Request{Instance: in})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -19,10 +19,7 @@ func TestFullScaleSynopsys01(t *testing.T) {
 	if s.Nets != 68_500 || s.NetGroups != 40_600 {
 		t.Fatalf("stats = %+v", s)
 	}
-	res, err := tdmroute.Solve(in, tdmroute.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := solve(t, tdmroute.Request{Instance: in})
 	if err := tdmroute.ValidateSolution(in, res.Solution); err != nil {
 		t.Fatalf("full-scale solution invalid: %v", err)
 	}
@@ -48,19 +45,12 @@ func TestFullScalePlusTA(t *testing.T) {
 		t.Skip("full-scale run skipped in -short mode")
 	}
 	in := genInstance(t, "synopsys02", 1.0)
-	res, err := tdmroute.Solve(in, tdmroute.Options{})
-	if err != nil {
+	res := solve(t, tdmroute.Request{Instance: in})
+	ta := solve(t, tdmroute.Request{Instance: in, Mode: tdmroute.ModeAssignOnly, Routing: res.Solution.Routes})
+	if err := tdmroute.ValidateSolution(in, ta.Solution); err != nil {
 		t.Fatal(err)
 	}
-	assign, rep, err := tdmroute.AssignTDM(in, res.Solution.Routes, tdmroute.TDMOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sol := &tdmroute.Solution{Routes: res.Solution.Routes, Assign: assign}
-	if err := tdmroute.ValidateSolution(in, sol); err != nil {
-		t.Fatal(err)
-	}
-	if rep.GTRMax != res.Report.GTRMax {
-		t.Errorf("re-assignment on same topology differs: %d vs %d", rep.GTRMax, res.Report.GTRMax)
+	if ta.Report.GTRMax != res.Report.GTRMax {
+		t.Errorf("re-assignment on same topology differs: %d vs %d", ta.Report.GTRMax, res.Report.GTRMax)
 	}
 }

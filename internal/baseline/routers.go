@@ -13,7 +13,8 @@
 //     topology of the three, at the highest routing cost.
 //
 // All three produce legal solutions; none runs the paper's LR/refinement, so
-// tdmroute.AssignTDM applied to their topologies reproduces the "+TA" rows.
+// a ModeAssignOnly tdmroute.Run on their topologies reproduces the "+TA"
+// rows.
 package baseline
 
 import (

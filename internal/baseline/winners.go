@@ -3,8 +3,8 @@ package baseline
 import "tdmroute/internal/problem"
 
 // Winner is one emulated contest entry: a router plus its own TDM ratio
-// assigner. Applying tdmroute.AssignTDM to Route's output instead of Assign
-// reproduces the "+TA" rows of Table II.
+// assigner. A ModeAssignOnly tdmroute.Run on Route's output instead of
+// Assign reproduces the "+TA" rows of Table II.
 type Winner struct {
 	// Name is the Table II row label ("1st", "2nd", "3rd").
 	Name string

@@ -28,10 +28,11 @@ import (
 //     skip the cache lookup (they need a live warm session), but their
 //     results still populate it for later identical plain submissions.
 //
-// Workers is normalized (negatives collapse to the sequential 1): the solver
-// is deterministic across worker counts by the package's equivalence suites,
-// but the option is kept in the key so a future divergence turns into cache
-// misses, not silently wrong hits.
+// Workers is normalized (negatives collapse to the sequential 1, as at the
+// solver's Run boundary) and kept in the key: routing waves partition the
+// nets by worker count, so distinct counts may route differently.
+// Partitions genuinely changes the routing, so distinct values must never
+// share a cache line either.
 func cacheKey(sub serve.SubmitRequest) string {
 	h := sha256.New()
 	// The instance in canonical text form, minus the name header. The
@@ -50,17 +51,8 @@ func cacheKey(sub serve.SubmitRequest) string {
 	if workers < 0 {
 		workers = 1
 	}
-	// Queue is normalized like Workers ("" and "auto" both select the auto
-	// engine): the engines are byte-identical by the equivalence suites,
-	// but the knob stays in the key so a divergence would miss, not
-	// corrupt. Partitions genuinely changes the routing, so distinct
-	// values must never share a cache line.
-	queue := sub.Queue
-	if queue == "" {
-		queue = "auto"
-	}
-	fmt.Fprintf(h, "|mode=%s|rounds=%d|epsilon=%g|maxiter=%d|ripup=%d|workers=%d|pow2=%t|queue=%s|partitions=%d",
-		sub.Mode, sub.Rounds, sub.Epsilon, sub.MaxIter, sub.RipUp, workers, sub.Pow2, queue, sub.Partitions)
+	fmt.Fprintf(h, "|mode=%s|rounds=%d|epsilon=%g|maxiter=%d|ripup=%d|workers=%d|pow2=%t|partitions=%d",
+		sub.Mode, sub.Rounds, sub.Epsilon, sub.MaxIter, sub.RipUp, workers, sub.Pow2, sub.Partitions)
 	if sub.Routing != nil {
 		h.Write([]byte("|routing|"))
 		problem.WriteRouting(h, sub.Routing)

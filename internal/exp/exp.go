@@ -41,10 +41,6 @@ type Config struct {
 	RipUpRounds int
 	// Workers forwards to both pipeline stages (0 = sequential).
 	Workers int
-	// Queue selects the routing Dijkstra engine by wire name ("" = auto);
-	// it forwards to Options.Queue, so both engines produce identical
-	// solutions and the knob only moves wall time.
-	Queue string
 	// Partitions forwards to Options.Partitions (0 = auto, 1 = off).
 	Partitions int
 	// Progress, when non-nil, receives one line per completed benchmark
@@ -117,27 +113,21 @@ func (c Config) instances() ([]*problem.Instance, error) {
 	return out, nil
 }
 
+// tdmOptions configures the TDM stage for the figures that drive it
+// directly; solveOptions is the Run-boundary form.
 func (c Config) tdmOptions(bench string) tdmroute.TDMOptions {
 	return tdmroute.TDMOptions{Epsilon: epsilonFor(bench), MaxIter: c.MaxIter, Workers: c.Workers}
 }
 
+// solveOptions configures a Run. Worker counts go through Options.Workers
+// alone; Run fans them into both stages.
 func (c Config) solveOptions(bench string) tdmroute.Options {
 	return tdmroute.Options{
 		Route:      tdmroute.RouteOptions{RipUpRounds: c.RipUpRounds},
-		TDM:        c.tdmOptions(bench),
+		TDM:        tdmroute.TDMOptions{Epsilon: epsilonFor(bench), MaxIter: c.MaxIter},
 		Workers:    c.Workers,
-		Queue:      c.Queue,
 		Partitions: c.Partitions,
 	}
-}
-
-// queueName is the resolved wire name of the configured queue engine, for
-// the telemetry rows ("" resolves to "auto").
-func (c Config) queueName() string {
-	if c.Queue == "" {
-		return "auto"
-	}
-	return c.Queue
 }
 
 // TableI returns the benchmark statistics rows.
@@ -213,7 +203,7 @@ func TableII(cfg Config, winners []WinnerFlow) ([]BenchResult, error) {
 
 func runBench(cfg Config, in *problem.Instance, winners []WinnerFlow) (BenchResult, error) {
 	res := BenchResult{Name: in.Name}
-	topts := cfg.tdmOptions(in.Name)
+	taOpts := cfg.solveOptions(in.Name)
 
 	for _, w := range winners {
 		t0 := time.Now()
@@ -232,7 +222,7 @@ func runBench(cfg Config, in *problem.Instance, winners []WinnerFlow) (BenchResu
 		ta, err := tdmroute.Run(cfg.ctx(), tdmroute.Request{
 			Instance: in,
 			Mode:     tdmroute.ModeAssignOnly,
-			Options:  tdmroute.Options{TDM: topts},
+			Options:  taOpts,
 			Routing:  routes,
 		})
 		if err != nil {

@@ -20,12 +20,9 @@ type PerfRow struct {
 	Bench   string  `json:"bench"`
 	Scale   float64 `json:"scale"`
 	Workers int     `json:"workers"`
-	// Queue is the resolved wire name of the routing queue engine the row
-	// was measured with; Partitions is the partitioned-routing region
-	// count. Rows from schema generations before these knobs existed lack
-	// the fields; ReadPerfJSON backfills them.
-	Queue      string `json:"queue,omitempty"`
-	Partitions int    `json:"partitions,omitempty"`
+	// Partitions is the partitioned-routing region count the row was
+	// measured with (absent in rows from before the knob existed).
+	Partitions int `json:"partitions,omitempty"`
 	// RoundsRequested is the -iterate budget; RoundsRun/RoundsKept report
 	// how many feedback rounds actually executed and survived.
 	RoundsRequested int `json:"rounds_requested"`
@@ -119,7 +116,6 @@ func perfBench(cfg Config, in *problem.Instance, rounds, reps int) (PerfRow, err
 	}
 	row.Scale = cfg.Scale
 	row.Workers = cfg.Workers
-	row.Queue = cfg.queueName()
 	row.Partitions = cfg.Partitions
 	row.RoundsRequested = rounds
 	return row, nil
@@ -167,9 +163,7 @@ func WritePerfJSON(w io.Writer, rep *PerfReport) error {
 
 // ReadPerfJSON parses a PerfReport written by WritePerfJSON, tolerating rows
 // from older baselines: rows without a "scale" field inherit the report-level
-// scale, and rows without a "queue" field are backfilled with "heap" — the
-// only engine that existed before the knob did — so comparisons across
-// baseline generations stay column-complete.
+// scale, so comparisons across baseline generations stay column-complete.
 func ReadPerfJSON(r io.Reader) (*PerfReport, error) {
 	var rep PerfReport
 	if err := json.NewDecoder(r).Decode(&rep); err != nil {
@@ -179,9 +173,6 @@ func ReadPerfJSON(r io.Reader) (*PerfReport, error) {
 		row := &rep.Rows[i]
 		if row.Scale == 0 {
 			row.Scale = rep.Scale
-		}
-		if row.Queue == "" {
-			row.Queue = "heap"
 		}
 	}
 	return &rep, nil

@@ -28,35 +28,15 @@ func (c Cost) Add(edgePrimary uint64) Cost {
 // InfCost is larger than any reachable path cost.
 var InfCost = Cost{Primary: ^uint64(0), Hops: ^uint32(0)}
 
-// QueueKind selects the priority-queue engine behind ShortestPath.
-//
-// Every engine pops settled vertices in non-decreasing (Primary, Hops)
-// order, and the relaxation step resolves equal-cost path ties canonically
-// (smallest edge id wins, see ShortestPath), so all engines produce
-// byte-identical paths. The choice is purely a performance trade:
-// QueueRadix avoids the binary heap's sift traffic on the integer-cost
-// searches a router issues by the million.
-type QueueKind uint8
-
-const (
-	// QueueHeap is the hand-rolled binary min-heap.
-	QueueHeap QueueKind = iota
-	// QueueRadix is a monotone radix (bucket) queue specialized for
-	// integer costs: keys are (Primary, Hops) packed into one machine
-	// word and items live in 65 buckets indexed by the position of the
-	// highest bit in which the key differs from the last deleted minimum.
-	// Pops are amortized O(word size); no comparisons sift through a heap.
-	QueueRadix
-)
-
 type dijkstraItem struct {
 	vertex int
 	cost   Cost
 }
 
-// dijkstraHeap is a hand-rolled typed binary min-heap. container/heap would
-// box every dijkstraItem into an interface{}, and that allocation dominates
-// a router issuing hundreds of thousands of searches.
+// dijkstraHeap is a hand-rolled typed binary min-heap for the multi-source
+// searches of MehlhornSolver. container/heap would box every dijkstraItem
+// into an interface{}, and that allocation dominates a router issuing
+// hundreds of thousands of searches.
 type dijkstraHeap []dijkstraItem
 
 func (h *dijkstraHeap) push(it dijkstraItem) {
@@ -130,39 +110,33 @@ func (h dijkstraHeap) siftDown(i int) {
 // caller-supplied per-edge primary costs. It owns reusable buffers so that a
 // router issuing millions of searches does not re-allocate per call.
 //
+// Its priority queue is the monotone radix queue (radixQueue), which avoids
+// a binary heap's sift traffic on the integer-cost searches a router issues
+// by the million.
+//
 // Not safe for concurrent use; create one instance per goroutine.
 type Dijkstra struct {
 	g        *Graph
 	dist     []Cost
 	prevEdge []int32 // edge used to reach vertex, -1 at source/unreached
 	touched  []int   // vertices whose dist/prevEdge entries are dirty
-	heap     dijkstraHeap
 	radix    *radixQueue
-	queue    QueueKind
 	done     []bool
 }
 
-// Clone returns an independent search engine bound to the same graph and
-// queue engine, for spawning one solver per worker goroutine.
-func (d *Dijkstra) Clone() *Dijkstra { return NewDijkstraQueue(d.g, d.queue) }
+// Clone returns an independent search engine bound to the same graph, for
+// spawning one solver per worker goroutine.
+func (d *Dijkstra) Clone() *Dijkstra { return NewDijkstra(d.g) }
 
-// NewDijkstra returns a search engine bound to g using the binary heap.
-func NewDijkstra(g *Graph) *Dijkstra { return NewDijkstraQueue(g, QueueHeap) }
-
-// NewDijkstraQueue returns a search engine bound to g using the given
-// priority-queue engine. All engines produce byte-identical paths; see
-// QueueKind.
-func NewDijkstraQueue(g *Graph, queue QueueKind) *Dijkstra {
+// NewDijkstra returns a search engine bound to g.
+func NewDijkstra(g *Graph) *Dijkstra {
 	n := g.NumVertices()
 	d := &Dijkstra{
 		g:        g,
 		dist:     make([]Cost, n),
 		prevEdge: make([]int32, n),
-		queue:    queue,
+		radix:    newRadixQueue(n),
 		done:     make([]bool, n),
-	}
-	if queue == QueueRadix {
-		d.radix = newRadixQueue(n)
 	}
 	for i := 0; i < n; i++ {
 		d.dist[i] = InfCost
@@ -170,9 +144,6 @@ func NewDijkstraQueue(g *Graph, queue QueueKind) *Dijkstra {
 	}
 	return d
 }
-
-// Queue returns the engine this searcher was built with.
-func (d *Dijkstra) Queue() QueueKind { return d.queue }
 
 // EdgeCostFunc returns the primary cost of traversing edge id.
 type EdgeCostFunc func(edge int) uint64
@@ -187,9 +158,9 @@ type EdgeCostFunc func(edge int) uint64
 // smaller id wins. The predecessor of every vertex on the returned path is
 // therefore the minimum-id edge over all optimal predecessors — a pure
 // function of (graph, costFn, src, dst) — rather than an accident of which
-// tied queue item happened to pop first. That is what licenses swapping the
-// queue engine (QueueKind) and the target pruning below without changing a
-// single output byte; see DESIGN.md, "Scale-1.0 performance".
+// tied queue item happened to pop first. That is what licenses the radix
+// queue (whose order among equal keys is unspecified) and the target pruning
+// below without changing a single output byte.
 func (d *Dijkstra) ShortestPath(src, dst int, costFn EdgeCostFunc, pathBuf []int) ([]int, Cost, bool) {
 	if src == dst {
 		return pathBuf, Cost{}, true
@@ -197,13 +168,7 @@ func (d *Dijkstra) ShortestPath(src, dst int, costFn EdgeCostFunc, pathBuf []int
 	d.reset()
 	d.visit(src, Cost{}, -1)
 
-	var found bool
-	if d.queue == QueueRadix {
-		found = d.runRadix(src, dst, costFn)
-	} else {
-		found = d.runHeap(src, dst, costFn)
-	}
-	if !found {
+	if !d.run(src, dst, costFn) {
 		return pathBuf, InfCost, false
 	}
 
@@ -221,15 +186,15 @@ func (d *Dijkstra) ShortestPath(src, dst int, costFn EdgeCostFunc, pathBuf []int
 	return pathBuf, total, true
 }
 
-// runHeap is the binary-heap search loop. The relaxation body must stay in
-// lockstep with runRadix: both implement the same canonical tie-breaking and
-// pruning contract, and the equivalence tests hold them to identical output.
-func (d *Dijkstra) runHeap(src, dst int, costFn EdgeCostFunc) bool {
-	d.heap = d.heap[:0]
-	d.heap = append(d.heap, dijkstraItem{vertex: src})
-	for len(d.heap) > 0 {
-		it := d.heap.pop()
-		u := it.vertex
+// run is the search loop: it settles vertices in non-decreasing cost order
+// until dst is settled (true) or the queue empties (false).
+func (d *Dijkstra) run(src, dst int, costFn EdgeCostFunc) bool {
+	q := d.radix
+	q.reset()
+	q.push(q.pack(Cost{}), int32(src))
+	for q.len > 0 {
+		it := q.pop()
+		u := int(it.vertex)
 		if d.done[u] {
 			continue
 		}
@@ -248,46 +213,6 @@ func (d *Dijkstra) runHeap(src, dst int, costFn EdgeCostFunc) bool {
 		// an equal-cost predecessor to one that does, so pruning is
 		// byte-identical to exhaustive relaxation — the canonical tie rule
 		// carries the argument, where pop order among equals could not.
-		if bound != InfCost && !du.Less(bound) {
-			continue
-		}
-		for _, arc := range d.g.Adj(u) {
-			to := arc.To
-			if d.done[to] {
-				continue
-			}
-			nc := du.Add(costFn(arc.Edge))
-			if nc.Less(d.dist[to]) {
-				if to != dst && bound != InfCost && !nc.Less(bound) {
-					continue
-				}
-				d.visit(to, nc, int32(arc.Edge))
-				d.heap.push(dijkstraItem{vertex: to, cost: nc})
-			} else if nc == d.dist[to] && d.prevEdge[to] >= 0 && int32(arc.Edge) < d.prevEdge[to] {
-				d.prevEdge[to] = int32(arc.Edge)
-			}
-		}
-	}
-	return false
-}
-
-// runRadix is the monotone radix-queue search loop; see runHeap.
-func (d *Dijkstra) runRadix(src, dst int, costFn EdgeCostFunc) bool {
-	q := d.radix
-	q.reset()
-	q.push(q.pack(Cost{}), int32(src))
-	for q.len > 0 {
-		it := q.pop()
-		u := int(it.vertex)
-		if d.done[u] {
-			continue
-		}
-		d.done[u] = true
-		if u == dst {
-			return true
-		}
-		du := d.dist[u]
-		bound := d.dist[dst]
 		if bound != InfCost && !du.Less(bound) {
 			continue
 		}

@@ -10,22 +10,23 @@ import (
 // that reaches a vertex at exactly its best-known cost lowers the recorded
 // predecessor edge to the smaller id. The paths it reconstructs are a pure
 // function of (graph, costs, src, dst) — independent of queue discipline —
-// so both production engines (binary heap and radix queue), with all their
-// pruning, must reproduce it byte for byte. Routing results (and therefore
-// solution files) depend on which of two equal-cost paths wins, which makes
-// this the byte-identity contract of the whole routing stage.
+// so the production engine (a radix queue with target pruning) must
+// reproduce it byte for byte. Routing results (and therefore solution files)
+// depend on which of two equal-cost paths wins, which makes this the
+// byte-identity contract of the whole routing stage. The reference borrows
+// d's dist/prev bookkeeping but orders its frontier with its own binary
+// heap, so no part of the radix queue is under test on both sides.
 func referenceShortestPath(d *Dijkstra, src, dst int, costFn EdgeCostFunc, pathBuf []int) ([]int, Cost, bool) {
 	if src == dst {
 		return pathBuf, Cost{}, true
 	}
 	d.reset()
 	d.visit(src, Cost{}, -1)
-	d.heap = d.heap[:0]
-	d.heap = append(d.heap, dijkstraItem{vertex: src})
+	heap := dijkstraHeap{{vertex: src}}
 
 	found := false
-	for len(d.heap) > 0 {
-		it := d.heap.pop()
+	for len(heap) > 0 {
+		it := heap.pop()
 		u := it.vertex
 		if d.done[u] {
 			continue
@@ -43,7 +44,7 @@ func referenceShortestPath(d *Dijkstra, src, dst int, costFn EdgeCostFunc, pathB
 			nc := du.Add(costFn(arc.Edge))
 			if nc.Less(d.dist[arc.To]) {
 				d.visit(arc.To, nc, int32(arc.Edge))
-				d.heap.push(dijkstraItem{vertex: arc.To, cost: nc})
+				heap.push(dijkstraItem{vertex: arc.To, cost: nc})
 			} else if nc == d.dist[arc.To] && d.prevEdge[arc.To] >= 0 && int32(arc.Edge) < d.prevEdge[arc.To] {
 				d.prevEdge[arc.To] = int32(arc.Edge)
 			}
@@ -66,7 +67,7 @@ func referenceShortestPath(d *Dijkstra, src, dst int, costFn EdgeCostFunc, pathB
 	return pathBuf, total, true
 }
 
-// checkAgainstReference drives one production engine and the reference loop
+// checkAgainstReference drives the production engine and the reference loop
 // over the same query and demands identical paths — not merely equal costs.
 func checkAgainstReference(t *testing.T, label string, eng, ref *Dijkstra, src, dst int, costFn EdgeCostFunc) {
 	t.Helper()
@@ -87,7 +88,7 @@ func checkAgainstReference(t *testing.T, label string, eng, ref *Dijkstra, src, 
 	}
 }
 
-// TestDijkstraPruneMatchesReference drives both pruned engines and the
+// TestDijkstraPruneMatchesReference drives the pruned engine and the
 // reference loop over the same random graphs with tiny cost ranges (so
 // equal-cost ties are everywhere) and demands identical paths.
 func TestDijkstraPruneMatchesReference(t *testing.T) {
@@ -100,14 +101,64 @@ func TestDijkstraPruneMatchesReference(t *testing.T) {
 			usage[i] = uint64(rng.Intn(3)) // small range: force ties
 		}
 		costFn := func(e int) uint64 { return usage[e] }
-		heap := NewDijkstra(g)
-		radix := NewDijkstraQueue(g, QueueRadix)
-		ref := NewDijkstra(g)
+		eng, ref := NewDijkstra(g), NewDijkstra(g)
 		for q := 0; q < 60; q++ {
-			src, dst := rng.Intn(n), rng.Intn(n)
-			checkAgainstReference(t, "heap", heap, ref, src, dst, costFn)
-			checkAgainstReference(t, "radix", radix, ref, src, dst, costFn)
+			checkAgainstReference(t, "radix", eng, ref, rng.Intn(n), rng.Intn(n), costFn)
 		}
+	}
+}
+
+// TestDijkstraLargeCostsMatchReference covers the cost magnitudes of the
+// baseline routers (usage² and (1+history)(1+usage)), whose edge costs reach
+// about 2^40 instead of the router's small congestion counts. Costs are drawn
+// from a handful of values near 2^40 so that ties stay common, plus a spread
+// of arbitrary costs up to 2^40, and the packed radix keys must still order
+// every path exactly as the reference does.
+func TestDijkstraLargeCostsMatchReference(t *testing.T) {
+	const big = uint64(1) << 40
+	rng := rand.New(rand.NewSource(35))
+	for trial := 0; trial < 40; trial++ {
+		n := 2 + rng.Intn(40)
+		g := randomConnected(n, rng.Intn(3*n), rng)
+		usage := make([]uint64, g.NumEdges())
+		for i := range usage {
+			if trial%2 == 0 {
+				usage[i] = big - uint64(rng.Intn(3)) // near 2^40, ties everywhere
+			} else {
+				usage[i] = uint64(rng.Int63n(int64(big) + 1))
+			}
+		}
+		costFn := func(e int) uint64 { return usage[e] }
+		eng, ref := NewDijkstra(g), NewDijkstra(g)
+		for q := 0; q < 60; q++ {
+			checkAgainstReference(t, "radix-2^40", eng, ref, rng.Intn(n), rng.Intn(n), costFn)
+		}
+	}
+}
+
+// TestRadixPackBounds pins the packed-key range: the largest representable
+// Primary packs (and keeps its order above every smaller one), and one more
+// panics instead of silently wrapping into a wrong order.
+func TestRadixPackBounds(t *testing.T) {
+	for _, n := range []int{1, 2, 43, 1000} {
+		q := newRadixQueue(n)
+		hops := uint32(n)
+		top := q.pack(Cost{Primary: q.maxPri, Hops: 0})
+		below := q.pack(Cost{Primary: q.maxPri - 1, Hops: hops})
+		if top <= below {
+			t.Fatalf("n=%d: pack(maxPri, 0)=%#x not above pack(maxPri-1, %d)=%#x", n, top, hops, below)
+		}
+		if got := q.pack(Cost{Primary: q.maxPri, Hops: hops}); got <= top {
+			t.Fatalf("n=%d: hops %d did not order above hops 0 at maxPri", n, hops)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("n=%d: pack(maxPri+1) did not panic", n)
+				}
+			}()
+			q.pack(Cost{Primary: q.maxPri + 1})
+		}()
 	}
 }
 
@@ -117,21 +168,17 @@ func TestDijkstraGridPruneMatchesReference(t *testing.T) {
 	g := grid(12, 12)
 	usage := make([]uint64, g.NumEdges())
 	costFn := func(e int) uint64 { return usage[e] }
-	heap := NewDijkstra(g)
-	radix := NewDijkstraQueue(g, QueueRadix)
-	ref := NewDijkstra(g)
+	eng, ref := NewDijkstra(g), NewDijkstra(g)
 	n := g.NumVertices()
 	rng := rand.New(rand.NewSource(34))
 	for q := 0; q < 200; q++ {
-		src, dst := rng.Intn(n), rng.Intn(n)
-		checkAgainstReference(t, "heap", heap, ref, src, dst, costFn)
-		checkAgainstReference(t, "radix", radix, ref, src, dst, costFn)
+		checkAgainstReference(t, "radix", eng, ref, rng.Intn(n), rng.Intn(n), costFn)
 	}
 }
 
 // TestDijkstraSearchZeroAlloc pins the steady state of the search loop at
-// zero allocations per query, for both queue engines: the engine's buffers
-// are grown once and then reused for the life of the session.
+// zero allocations per query: the engine's buffers are grown once and then
+// reused for the life of the session.
 func TestDijkstraSearchZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed under -race")
@@ -139,24 +186,19 @@ func TestDijkstraSearchZeroAlloc(t *testing.T) {
 	g := grid(20, 20)
 	usage := make([]uint64, g.NumEdges())
 	costFn := func(e int) uint64 { return usage[e] }
-	for _, tc := range []struct {
-		name  string
-		queue QueueKind
-	}{{"heap", QueueHeap}, {"radix", QueueRadix}} {
-		t.Run(tc.name, func(t *testing.T) {
-			d := NewDijkstraQueue(g, tc.queue)
-			buf := make([]int, 0, 256)
-			dst := g.NumVertices() - 1
-			// Warm-up queries grow the queue and touched list to steady state.
-			for i := 0; i < 4; i++ {
-				buf, _, _ = d.ShortestPath(0, dst, costFn, buf[:0])
-			}
-			allocs := testing.AllocsPerRun(50, func() {
-				buf, _, _ = d.ShortestPath(0, dst, costFn, buf[:0])
-			})
-			if allocs != 0 {
-				t.Fatalf("ShortestPath steady state allocates %v objects per run, want 0", allocs)
-			}
+	t.Run("radix", func(t *testing.T) {
+		d := NewDijkstra(g)
+		buf := make([]int, 0, 256)
+		dst := g.NumVertices() - 1
+		// Warm-up queries grow the queue and touched list to steady state.
+		for i := 0; i < 4; i++ {
+			buf, _, _ = d.ShortestPath(0, dst, costFn, buf[:0])
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			buf, _, _ = d.ShortestPath(0, dst, costFn, buf[:0])
 		})
-	}
+		if allocs != 0 {
+			t.Fatalf("ShortestPath steady state allocates %v objects per run, want 0", allocs)
+		}
+	})
 }

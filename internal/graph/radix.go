@@ -41,12 +41,14 @@ func newRadixQueue(n int) *radixQueue {
 
 // pack folds c into a single key preserving the lexicographic (Primary,
 // Hops) order. Costs beyond the representable range cannot occur in the
-// router (Primary is bounded by nets × path length ≪ 2^(64-hopBits)); a
-// caller feeding adversarial costs is a programming error, not a silent
+// routers: a path's Primary is at most its hop count times the largest edge
+// cost, and even the baseline routers' usage² and (1+history)(1+usage)
+// edge costs stay below 2^42 at a million nets, far below 2^(64-hopBits). A
+// caller feeding larger costs is a programming error, not a silent
 // reordering.
 func (q *radixQueue) pack(c Cost) uint64 {
 	if c.Primary > q.maxPri {
-		panic("graph: radix queue primary cost overflows packed key; use QueueHeap for costs this large")
+		panic("graph: radix queue primary cost overflows packed key")
 	}
 	return c.Primary<<q.hopBits | uint64(c.Hops)
 }

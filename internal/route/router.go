@@ -42,23 +42,6 @@ const (
 	OrderThetaDesc
 )
 
-// QueueKind selects the priority-queue engine behind the congestion-aware
-// shortest-path searches. Every engine produces byte-identical routings —
-// equal-cost path ties resolve canonically in the relaxation step, not by
-// queue pop order (see graph.QueueKind) — so the choice is purely a
-// performance trade.
-type QueueKind int
-
-const (
-	// QueueAuto selects the fastest engine, currently the bucket queue.
-	QueueAuto QueueKind = iota
-	// QueueHeap forces the binary heap.
-	QueueHeap
-	// QueueBucket forces the monotone radix (bucket) queue specialized for
-	// the router's integer congestion costs.
-	QueueBucket
-)
-
 // Options tunes the router. The zero value selects the paper's defaults.
 type Options struct {
 	// RipUpRounds is the number of rip-up-and-reroute rounds. Each round
@@ -89,9 +72,6 @@ type Options struct {
 	// partition the waves differently and may route individual nets
 	// differently.
 	Workers int
-	// Queue selects the shortest-path priority-queue engine. All engines
-	// produce byte-identical routings; QueueAuto picks the fastest.
-	Queue QueueKind
 	// Partitions > 1 routes the initial net ordering through that many
 	// spatially partitioned regions instead of waves: region-local nets
 	// (all terminals inside one region) are routed per region against
@@ -133,14 +113,6 @@ func (o Options) partitions() int {
 		return 1
 	}
 	return o.Partitions
-}
-
-// graphQueue maps the router-level queue selection onto the graph engine.
-func (o Options) graphQueue() graph.QueueKind {
-	if o.Queue == QueueHeap {
-		return graph.QueueHeap
-	}
-	return graph.QueueRadix
 }
 
 // Stats reports what the router did, for logging and the Fig. 3(a) runtime
@@ -214,9 +186,9 @@ type netWorker struct {
 	arena treeArena
 }
 
-func newNetWorker(g *graph.Graph, mehlhorn bool, queue graph.QueueKind) *netWorker {
+func newNetWorker(g *graph.Graph, mehlhorn bool) *netWorker {
 	w := &netWorker{
-		dij:      graph.NewDijkstraQueue(g, queue),
+		dij:      graph.NewDijkstra(g),
 		cleaner:  graph.NewSteinerCleaner(g),
 		ownStamp: make([]uint32, g.NumEdges()),
 	}
@@ -313,7 +285,7 @@ func newRouter(in *problem.Instance, opt Options) *router {
 		in:      in,
 		opt:     opt,
 		apsp:    graph.NewAPSP(in.G),
-		w0:      newNetWorker(in.G, mehlhorn, opt.graphQueue()),
+		w0:      newNetWorker(in.G, mehlhorn),
 		routes:  make(problem.Routing, len(in.Nets)),
 		usage:   make([]uint32, in.G.NumEdges()),
 		mstCost: make([]int64, len(in.Nets)),

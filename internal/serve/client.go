@@ -76,10 +76,6 @@ type SubmitRequest struct {
 	RipUp   int
 	Workers int
 	Pow2    bool
-	// Queue overrides the routing Dijkstra engine ("auto", "heap",
-	// "bucket"); empty keeps the server default. Both engines produce
-	// identical solutions.
-	Queue string
 	// Partitions overrides the partitioned-routing region count when
 	// non-zero (1 = off).
 	Partitions int
@@ -189,9 +185,6 @@ func (c *Client) Submit(ctx context.Context, req SubmitRequest) (*JobStatus, err
 	}
 	if req.Pow2 {
 		q.Set("pow2", "1")
-	}
-	if req.Queue != "" {
-		q.Set("queue", req.Queue)
 	}
 	if req.Partitions != 0 {
 		q.Set("partitions", strconv.Itoa(req.Partitions))

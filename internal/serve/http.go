@@ -42,7 +42,7 @@ func (s *Server) unavailable(w http.ResponseWriter, reason string) {
 // a multipart/form-data body whose "instance" part is any of those and
 // whose "routing" part fixes the topology for assign mode — and queues one
 // solve configured by the query parameters: mode, rounds, deadline, name,
-// epsilon, maxiter, ripup, workers, pow2, queue, partitions.
+// epsilon, maxiter, ripup, workers, pow2, partitions, retain.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		s.metrics.submitRejected.Add(1)
@@ -158,12 +158,6 @@ func ParseSubmit(r *http.Request) (SubmitRequest, error) {
 			return sub, fmt.Errorf("bad workers %q", v)
 		}
 	}
-	if v := q.Get("queue"); v != "" {
-		if _, err := tdmroute.ParseQueue(v); err != nil {
-			return sub, fmt.Errorf("bad queue %q: want auto, heap, or bucket", v)
-		}
-		sub.Queue = v
-	}
 	if v := q.Get("partitions"); v != "" {
 		if sub.Partitions, err = strconv.Atoi(v); err != nil || sub.Partitions < 0 {
 			return sub, fmt.Errorf("bad partitions %q", v)
@@ -203,9 +197,6 @@ func (s *Server) resolve(sub SubmitRequest) (tdmroute.Request, time.Duration) {
 	}
 	if sub.Workers != 0 {
 		req.Options.Workers = sub.Workers
-	}
-	if sub.Queue != "" {
-		req.Options.Queue = sub.Queue
 	}
 	if sub.Partitions != 0 {
 		req.Options.Partitions = sub.Partitions

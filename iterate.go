@@ -13,102 +13,41 @@ import (
 	"tdmroute/internal/tdm"
 )
 
-// IterateOptions tunes SolveIterative.
-type IterateOptions struct {
-	// Rounds is the number of feedback rounds after the initial solve.
-	// Each round rips the group that actually attained GTR_max (not the
-	// φ estimate of Sec. III-B), reroutes its nets, re-runs the TDM
-	// assignment warm-started from the previous multipliers, and keeps
-	// the result only if GTR_max improved. Zero selects 3.
-	Rounds int
-	// Base configures the underlying pipeline.
-	Base Options
-
-	// onRound, when non-nil, is invoked at the start of every feedback
-	// round, after the round's context check. It exists so tests can
-	// trigger deterministic mid-round cancellation; both the session
-	// implementation and the cold reference honor it at the same point.
-	onRound func(round int)
-}
-
-// IterateResult reports the outcome of SolveIterative.
-type IterateResult struct {
-	*Result
-	// RoundsRun is the number of feedback rounds executed.
-	RoundsRun int
-	// RoundsKept counts rounds whose rerouting improved GTR_max.
-	RoundsKept int
-	// InitialGTR is the single-pass framework's GTR_max, for comparison.
-	InitialGTR int64
-}
-
-// SolveIterative extends the paper's one-pass framework (Fig. 2(b)) with
-// solution-driven feedback: after TDM ratio assignment, the NetGroup that
-// actually realizes GTR_max is ripped up and rerouted (the Sec. III-B move,
-// but driven by true ratios instead of the φ(g) estimate), and the
-// assignment re-runs warm-started. Rounds that do not improve are
-// discarded, so the result is never worse than Solve's.
+// runIterative is the ModeIterative pipeline, with options already
+// normalized by the Run boundary: req.Rounds feedback rounds (0 selects 3)
+// after the base solve. It extends the paper's one-pass framework
+// (Fig. 2(b)) with solution-driven feedback: after TDM ratio assignment, the
+// NetGroup that actually realizes GTR_max is ripped up and rerouted (the
+// Sec. III-B move, but driven by true ratios instead of the φ(g) estimate),
+// and the assignment re-runs warm-started from the previous multipliers.
+// A round is kept only if GTR_max improved, so the result is never worse
+// than ModeSingle's.
 //
-// Deprecated: Use Run with a ModeIterative Request; SolveIterative is a
-// compatibility wrapper over it.
-func SolveIterative(in *Instance, opt IterateOptions) (*IterateResult, error) {
-	return SolveIterativeCtx(context.Background(), in, opt)
-}
-
-// SolveIterativeCtx is SolveIterative under a context. Cancellation between
-// or during feedback rounds keeps the accepted incumbent and returns it with
-// Result.Degraded set (stage "feedback"); cancellation during the base solve
-// degrades as SolveCtx does and skips the feedback rounds entirely. When a
-// hard (non-interruption) error occurs after the base solve, the returned
-// result is non-nil alongside the error and carries the incumbent and the
-// stage times of all work done; callers must check the error first.
+// Cancellation between or during feedback rounds keeps the accepted
+// incumbent and returns it with Degraded set (stage "feedback");
+// cancellation during the base solve degrades as ModeSingle does and skips
+// the feedback rounds entirely. When a hard (non-interruption) error occurs
+// after the base solve, the returned response is non-nil alongside the
+// error and carries the incumbent and the stage times of all work done.
 //
 // The whole run shares one routing session and one TDM session: the APSP
 // LUT, terminal MSTs, search scratch, and the CSR incidence of the LR are
 // built once by the base solve and patched incrementally by every feedback
 // round. The results are byte-identical to rebuilding each stage from
-// scratch (the solveIterativeCold reference); only the wall clock differs.
-// The session also subsumes the old explicit multiplier recapture: the base
-// assignment's own LR captures λ for the first warm start, instead of
-// re-running a full relaxation on the accepted topology.
-//
-// Deprecated: Use Run with a ModeIterative Request; SolveIterativeCtx is a
-// compatibility wrapper over it.
-func SolveIterativeCtx(ctx context.Context, in *Instance, opt IterateOptions) (*IterateResult, error) {
-	resp, err := Run(ctx, Request{
-		Instance: in,
-		Mode:     ModeIterative,
-		Options:  opt.Base,
-		Rounds:   opt.Rounds,
-		onRound:  opt.onRound,
-	})
-	if resp == nil {
-		return nil, err
-	}
-	res := &IterateResult{
-		Result:     resp.result(),
-		RoundsRun:  resp.RoundsRun,
-		RoundsKept: resp.RoundsKept,
-		InitialGTR: resp.InitialGTR,
-	}
-	return res, err
-}
-
-// runIterative is the ModeIterative pipeline, with options already
-// normalized by the Run boundary. When a hard (non-interruption) error
-// occurs after the base solve, the returned result is non-nil alongside the
-// error and carries the incumbent and the stage times of all work done.
+// scratch (the solveIterativeCold test reference); only the wall clock
+// differs. The base assignment's own LR captures λ for the first warm start,
+// instead of re-running a full relaxation on the accepted topology.
 //
 // warm, when non-nil, receives the run's live sessions, final multipliers,
 // and the stale-net bookkeeping (Request.Retain); the caller must discard it
 // when runIterative also returns an error.
-func runIterative(ctx context.Context, in *Instance, opt IterateOptions, warm *WarmHandle) (*IterateResult, error) {
-	if opt.Rounds == 0 {
-		opt.Rounds = 3
+func runIterative(ctx context.Context, req Request, warm *WarmHandle) (*Response, error) {
+	in, opt, rounds := req.Instance, req.Options, req.Rounds
+	if rounds == 0 {
+		rounds = 3
 	}
-	opt.Base = opt.Base.withWorkers()
 
-	rs := route.NewSession(in, opt.Base.Route)
+	rs := route.NewSession(in, opt.Route)
 	ts := tdm.NewSession(in)
 	var lambda []float64
 	var stale []int
@@ -119,11 +58,12 @@ func runIterative(ctx context.Context, in *Instance, opt IterateOptions, warm *W
 			warm.stale = stale
 		}()
 	}
-	base, err := solveBaseSession(ctx, in, opt.Base, rs, ts, &lambda)
+	res, err := solveBaseSession(ctx, in, opt, rs, ts, &lambda)
 	if err != nil {
 		return nil, err
 	}
-	res := &IterateResult{Result: base, InitialGTR: base.Report.GTRMax}
+	res.Mode = ModeIterative
+	res.InitialGTR = res.Report.GTRMax
 	if res.Degraded != nil {
 		// The base solve was already curtailed: there is no budget left
 		// for feedback rounds, and the base incumbent stands.
@@ -131,13 +71,13 @@ func runIterative(ctx context.Context, in *Instance, opt IterateOptions, warm *W
 	}
 
 	var stop error
-	for round := 0; round < opt.Rounds; round++ {
+	for round := 0; round < rounds; round++ {
 		if cerr := ctx.Err(); cerr != nil {
 			stop = cerr
 			break
 		}
-		if opt.onRound != nil {
-			opt.onRound(round)
+		if req.onRound != nil {
+			req.onRound(round)
 		}
 		res.RoundsRun++
 		improved, err := feedbackRoundSession(ctx, in, res, opt, rs, ts, &lambda, &stale)
@@ -180,13 +120,13 @@ func runIterative(ctx context.Context, in *Instance, opt IterateOptions, warm *W
 	return res, nil
 }
 
-// solveBaseSession is SolveCtx running through the iterated solver's
+// solveBaseSession is runSingle running through the iterated solver's
 // sessions instead of throwaway per-call state, with the final multipliers
 // of the base LR captured into *lambda for the first feedback warm start.
 // The session stages compute exactly what their cold counterparts compute,
-// so the result is identical to SolveCtx's.
-func solveBaseSession(ctx context.Context, in *Instance, opt Options, rs *route.Session, ts *tdm.Session, lambda *[]float64) (*Result, error) {
-	res := &Result{}
+// so the result is identical to runSingle's.
+func solveBaseSession(ctx context.Context, in *Instance, opt Options, rs *route.Session, ts *tdm.Session, lambda *[]float64) (*Response, error) {
+	res := &Response{Mode: ModeSingle}
 	t0 := time.Now()
 	var routes Routing
 	var rstats RouteStats
@@ -223,21 +163,14 @@ func solveBaseSession(ctx context.Context, in *Instance, opt Options, rs *route.
 	if routeCurtailed {
 		stage = StageRoute
 	}
-	if stage != "" {
-		res.Degraded = &Degraded{
-			Stage:        stage,
-			Cause:        degradedCause(rep, ctx),
-			LRIterations: rep.Iterations,
-			IncumbentGTR: rep.GTRMax,
-		}
-	}
+	res.Degraded = stageDegraded(ctx, stage, rep)
 	return res, nil
 }
 
-// feedbackRoundSession is feedbackRound running in place on the shared
-// sessions: the critical group is rerouted inside the routing session and
-// the LR state is patched with just those nets. On rejection or error the
-// reroute is undone, restoring the accepted topology. (A rejected or failed
+// feedbackRoundSession is feedbackRoundCold (the test reference) running in
+// place on the shared sessions: the critical group is rerouted inside the
+// routing session and the LR state is patched with just those nets. On
+// rejection or error the reroute is undone, restoring the accepted topology. (A rejected or failed
 // round always ends the loop, so the TDM session — already patched to the
 // dropped candidate — is not consulted again within this run.)
 //
@@ -245,7 +178,7 @@ func solveBaseSession(ctx context.Context, in *Instance, opt Options, rs *route.
 // round; it is cleared when the round is accepted, so after the loop it
 // names exactly the nets on which the TDM session lags the routing session.
 // A retained warm handle folds it into the next delta's changed set.
-func feedbackRoundSession(ctx context.Context, in *Instance, res *IterateResult, opt IterateOptions, rs *route.Session, ts *tdm.Session, lambda *[]float64, stale *[]int) (bool, error) {
+func feedbackRoundSession(ctx context.Context, in *Instance, res *Response, opt Options, rs *route.Session, ts *tdm.Session, lambda *[]float64, stale *[]int) (bool, error) {
 	cur := res.Solution
 	_, gmax := eval.MaxGroupTDM(in, cur)
 	if gmax < 0 {
@@ -267,7 +200,7 @@ func feedbackRoundSession(ctx context.Context, in *Instance, res *IterateResult,
 		return false, fmt.Errorf("tdmroute: feedback reroute produced invalid topology: %w", err)
 	}
 
-	topt := opt.Base.TDM
+	topt := opt.TDM
 	topt.WarmLambda = *lambda
 	var captured []float64
 	topt.CaptureLambda = func(l []float64) { captured = l }
@@ -337,124 +270,4 @@ func isInterruption(err error) bool {
 	return errors.Is(err, context.Canceled) ||
 		errors.Is(err, context.DeadlineExceeded) ||
 		errors.As(err, &pe)
-}
-
-// solveIterativeCold is the pre-session implementation of SolveIterativeCtx,
-// kept verbatim as the equivalence reference: every stage rebuilds its state
-// from scratch (fresh router and APSP per reroute, fresh CSR per LR run,
-// an explicit extra relaxation to recapture multipliers). The equivalence
-// suite asserts SolveIterativeCtx reproduces its Routing and Assignment
-// byte for byte.
-func solveIterativeCold(ctx context.Context, in *Instance, opt IterateOptions) (*IterateResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if opt.Rounds == 0 {
-		opt.Rounds = 3
-	}
-	opt.Base = opt.Base.withWorkers()
-	base, err := SolveCtx(ctx, in, opt.Base)
-	if err != nil {
-		return nil, err
-	}
-	res := &IterateResult{Result: base, InitialGTR: base.Report.GTRMax}
-	if res.Degraded != nil {
-		return res, nil
-	}
-
-	var lambda []float64
-	topt := opt.Base.TDM
-	topt.CaptureLambda = func(l []float64) { lambda = l }
-	// Recapture multipliers from the accepted solution's topology so the
-	// first feedback round starts warm. Only the relaxation is needed for
-	// the multipliers, so skip the legalize+refine half of a full
-	// assignment. An interruption here is harmless — the multipliers are a
-	// warm-start hint — and is caught at the next round boundary.
-	t0 := time.Now()
-	tdm.RunLR(ctx, in, base.Solution.Routes, topt)
-	res.Times.LR += time.Since(t0)
-
-	var stop error
-	for round := 0; round < opt.Rounds; round++ {
-		if cerr := ctx.Err(); cerr != nil {
-			stop = cerr
-			break
-		}
-		if opt.onRound != nil {
-			opt.onRound(round)
-		}
-		res.RoundsRun++
-		improved, err := feedbackRoundCold(ctx, in, res, opt, &lambda)
-		if err != nil {
-			if isInterruption(err) {
-				stop = err
-				break
-			}
-			return res, err
-		}
-		if improved {
-			res.RoundsKept++
-		} else {
-			break
-		}
-	}
-	if stop == nil {
-		stop = res.Report.Interrupted
-	}
-	if stop != nil {
-		res.Degraded = &Degraded{
-			Stage:          StageFeedback,
-			Cause:          stop,
-			LRIterations:   res.Report.Iterations,
-			FeedbackRounds: res.RoundsRun,
-			IncumbentGTR:   res.Report.GTRMax,
-		}
-	}
-	return res, nil
-}
-
-// feedbackRoundCold rips the realized-GTR_max group, reroutes it against the
-// existing usage with a throwaway router, reassigns from a cold LR build
-// warm-started on the multipliers, and accepts on improvement. Stage times
-// are folded into res.Times whether the round succeeds, is rejected, or
-// fails — the time was spent either way.
-func feedbackRoundCold(ctx context.Context, in *Instance, res *IterateResult, opt IterateOptions, lambda *[]float64) (bool, error) {
-	cur := res.Solution
-	_, gmax := eval.MaxGroupTDM(in, cur)
-	if gmax < 0 {
-		return false, nil
-	}
-	members := in.Groups[gmax].Nets
-
-	candidate := cur.Routes.Clone()
-	t0 := time.Now()
-	err := par.Capture(func() error {
-		return route.RerouteNets(ctx, in, candidate, members, opt.Base.Route)
-	})
-	res.Times.Route += time.Since(t0)
-	if err != nil {
-		return false, err
-	}
-	if err := problem.ValidateRouting(in, candidate); err != nil {
-		return false, fmt.Errorf("tdmroute: feedback reroute produced invalid topology: %w", err)
-	}
-
-	topt := opt.Base.TDM
-	topt.WarmLambda = *lambda
-	var captured []float64
-	topt.CaptureLambda = func(l []float64) { captured = l }
-	assign, rep, times, _, err := assignTimed(ctx, in, candidate, topt)
-	res.Times.LR += times.LR
-	res.Times.LegalRefine += times.LegalRefine
-	if err != nil {
-		return false, err
-	}
-
-	if rep.GTRMax >= res.Report.GTRMax {
-		return false, nil // reject; keep previous solution and multipliers
-	}
-	res.Solution = &Solution{Routes: candidate, Assign: assign}
-	res.Report = rep
-	*lambda = captured
-	return true, nil
 }

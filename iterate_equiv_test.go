@@ -3,11 +3,17 @@ package tdmroute
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"testing"
+	"time"
 
+	"tdmroute/internal/eval"
 	"tdmroute/internal/gen"
 	"tdmroute/internal/graph"
+	"tdmroute/internal/par"
 	"tdmroute/internal/problem"
+	"tdmroute/internal/route"
+	"tdmroute/internal/tdm"
 )
 
 // solutionBytes serializes a solution in the contest text format; the
@@ -38,10 +44,9 @@ func equivInstance(t *testing.T, name string, seedShift int64) *Instance {
 
 // TestSolveIterativeMatchesColdReference is the byte-identity contract of
 // the incremental core: across generator seeds, worker counts, and a
-// deterministic mid-round cancellation, the session-reusing
-// SolveIterativeCtx must reproduce the from-scratch reference
-// (solveIterativeCold) exactly — same solution bytes, same round counts,
-// same objective.
+// deterministic mid-round cancellation, the session-reusing ModeIterative
+// Run must reproduce the from-scratch reference (solveIterativeCold)
+// exactly — same solution bytes, same round counts, same objective.
 func TestSolveIterativeMatchesColdReference(t *testing.T) {
 	cases := []struct {
 		bench string
@@ -55,27 +60,29 @@ func TestSolveIterativeMatchesColdReference(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			for _, cancelRound := range []int{-1, 1} {
 				in := equivInstance(t, tc.bench, tc.shift)
-				run := func(solve func(context.Context, *Instance, IterateOptions) (*IterateResult, error)) *IterateResult {
+				run := func(solve func(context.Context, Request) (*Response, error)) *Response {
 					ctx, cancel := context.WithCancel(context.Background())
 					defer cancel()
-					opt := IterateOptions{
-						Rounds: 4,
-						Base:   Options{Workers: workers},
+					req := Request{
+						Instance: in,
+						Mode:     ModeIterative,
+						Rounds:   4,
+						Options:  Options{Workers: workers},
 					}
 					if cancelRound >= 0 {
-						opt.onRound = func(round int) {
+						req.onRound = func(round int) {
 							if round == cancelRound {
 								cancel()
 							}
 						}
 					}
-					res, err := solve(ctx, in, opt)
+					res, err := solve(ctx, req)
 					if err != nil {
 						t.Fatalf("%s workers=%d cancel=%d: %v", tc.bench, workers, cancelRound, err)
 					}
 					return res
 				}
-				warm := run(SolveIterativeCtx)
+				warm := run(Run)
 				cold := run(solveIterativeCold)
 
 				if warm.Report.GTRMax != cold.Report.GTRMax ||
@@ -109,7 +116,7 @@ func TestSolveIterativeMatchesColdReference(t *testing.T) {
 func TestSolveIterativeBuildsAPSPOnce(t *testing.T) {
 	in := equivInstance(t, "synopsys01", 0)
 	before := graph.APSPBuilds()
-	res, err := SolveIterative(in, IterateOptions{Rounds: 5})
+	res, err := Run(context.Background(), Request{Instance: in, Mode: ModeIterative, Rounds: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,6 +124,130 @@ func TestSolveIterativeBuildsAPSPOnce(t *testing.T) {
 		t.Fatalf("no feedback rounds ran (RoundsRun=%d); the test needs at least one reroute", res.RoundsRun)
 	}
 	if got := graph.APSPBuilds() - before; got != 1 {
-		t.Fatalf("SolveIterative built the APSP %d times, want exactly 1", got)
+		t.Fatalf("the iterated solve built the APSP %d times, want exactly 1", got)
 	}
+}
+
+// solveIterativeCold is the pre-session implementation of ModeIterative,
+// kept as the equivalence reference: every stage rebuilds its state from
+// scratch (fresh router and APSP per reroute, fresh CSR per LR run, an
+// explicit extra relaxation to recapture multipliers). The equivalence
+// suite asserts Run reproduces its Routing and Assignment byte for byte.
+func solveIterativeCold(ctx context.Context, req Request) (*Response, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	in, rounds := req.Instance, req.Rounds
+	if rounds == 0 {
+		rounds = 3
+	}
+	opt, err := req.Options.normalized()
+	if err != nil {
+		return nil, err
+	}
+	res, err := runSingle(ctx, in, opt)
+	if err != nil {
+		return nil, err
+	}
+	res.Mode = ModeIterative
+	res.InitialGTR = res.Report.GTRMax
+	if res.Degraded != nil {
+		return res, nil
+	}
+
+	var lambda []float64
+	topt := opt.TDM
+	topt.CaptureLambda = func(l []float64) { lambda = l }
+	// Recapture multipliers from the accepted solution's topology so the
+	// first feedback round starts warm. Only the relaxation is needed for
+	// the multipliers, so skip the legalize+refine half of a full
+	// assignment. An interruption here is harmless — the multipliers are a
+	// warm-start hint — and is caught at the next round boundary.
+	t0 := time.Now()
+	tdm.RunLR(ctx, in, res.Solution.Routes, topt)
+	res.Times.LR += time.Since(t0)
+
+	var stop error
+	for round := 0; round < rounds; round++ {
+		if cerr := ctx.Err(); cerr != nil {
+			stop = cerr
+			break
+		}
+		if req.onRound != nil {
+			req.onRound(round)
+		}
+		res.RoundsRun++
+		improved, err := feedbackRoundCold(ctx, in, res, opt, &lambda)
+		if err != nil {
+			if isInterruption(err) {
+				stop = err
+				break
+			}
+			return res, err
+		}
+		if improved {
+			res.RoundsKept++
+		} else {
+			break
+		}
+	}
+	if stop == nil {
+		stop = res.Report.Interrupted
+	}
+	if stop != nil {
+		res.Degraded = &Degraded{
+			Stage:          StageFeedback,
+			Cause:          stop,
+			LRIterations:   res.Report.Iterations,
+			FeedbackRounds: res.RoundsRun,
+			IncumbentGTR:   res.Report.GTRMax,
+		}
+	}
+	return res, nil
+}
+
+// feedbackRoundCold rips the realized-GTR_max group, reroutes it against the
+// existing usage with a throwaway router, reassigns from a cold LR build
+// warm-started on the multipliers, and accepts on improvement. Stage times
+// are folded into res.Times whether the round succeeds, is rejected, or
+// fails — the time was spent either way.
+func feedbackRoundCold(ctx context.Context, in *Instance, res *Response, opt Options, lambda *[]float64) (bool, error) {
+	cur := res.Solution
+	_, gmax := eval.MaxGroupTDM(in, cur)
+	if gmax < 0 {
+		return false, nil
+	}
+	members := in.Groups[gmax].Nets
+
+	candidate := cur.Routes.Clone()
+	t0 := time.Now()
+	err := par.Capture(func() error {
+		return route.RerouteNets(ctx, in, candidate, members, opt.Route)
+	})
+	res.Times.Route += time.Since(t0)
+	if err != nil {
+		return false, err
+	}
+	if err := problem.ValidateRouting(in, candidate); err != nil {
+		return false, fmt.Errorf("tdmroute: feedback reroute produced invalid topology: %w", err)
+	}
+
+	topt := opt.TDM
+	topt.WarmLambda = *lambda
+	var captured []float64
+	topt.CaptureLambda = func(l []float64) { captured = l }
+	assign, rep, times, _, err := assignTimed(ctx, in, candidate, topt)
+	res.Times.LR += times.LR
+	res.Times.LegalRefine += times.LegalRefine
+	if err != nil {
+		return false, err
+	}
+
+	if rep.GTRMax >= res.Report.GTRMax {
+		return false, nil // reject; keep previous solution and multipliers
+	}
+	res.Solution = &Solution{Routes: candidate, Assign: assign}
+	res.Report = rep
+	*lambda = captured
+	return true, nil
 }

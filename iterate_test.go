@@ -1,6 +1,7 @@
 package tdmroute_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -10,10 +11,7 @@ import (
 func TestSolveIterativeNeverWorse(t *testing.T) {
 	for _, bench := range []string{"synopsys01", "synopsys02", "hidden01"} {
 		in := genInstance(t, bench, 0.005)
-		res, err := tdmroute.SolveIterative(in, tdmroute.IterateOptions{Rounds: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := solve(t, tdmroute.Request{Instance: in, Mode: tdmroute.ModeIterative, Rounds: 4})
 		if err := tdmroute.ValidateSolution(in, res.Solution); err != nil {
 			t.Fatalf("%s: invalid: %v", bench, err)
 		}
@@ -38,10 +36,7 @@ func TestSolveIterativeImprovesSomewhere(t *testing.T) {
 	improved := false
 	for _, bench := range []string{"synopsys01", "synopsys02", "synopsys03", "hidden01"} {
 		in := genInstance(t, bench, 0.004)
-		res, err := tdmroute.SolveIterative(in, tdmroute.IterateOptions{Rounds: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := solve(t, tdmroute.Request{Instance: in, Mode: tdmroute.ModeIterative, Rounds: 5})
 		if res.RoundsKept > 0 && res.Report.GTRMax < res.InitialGTR {
 			improved = true
 		}
@@ -53,14 +48,8 @@ func TestSolveIterativeImprovesSomewhere(t *testing.T) {
 
 func TestSolveIterativeDeterministic(t *testing.T) {
 	in := genInstance(t, "synopsys01", 0.003)
-	a, err := tdmroute.SolveIterative(in, tdmroute.IterateOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := tdmroute.SolveIterative(in, tdmroute.IterateOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := solve(t, tdmroute.Request{Instance: in, Mode: tdmroute.ModeIterative})
+	b := solve(t, tdmroute.Request{Instance: in, Mode: tdmroute.ModeIterative})
 	if a.Report.GTRMax != b.Report.GTRMax || a.RoundsKept != b.RoundsKept {
 		t.Errorf("nondeterministic: %+v vs %+v", a.Report, b.Report)
 	}
@@ -73,7 +62,7 @@ func TestIterativeStageTimesAccounted(t *testing.T) {
 	// per-stage sum must stay within the wall clock of the entire solve.
 	in := genInstance(t, "synopsys01", 0.005)
 	start := time.Now()
-	res, err := tdmroute.SolveIterative(in, tdmroute.IterateOptions{Rounds: 4})
+	res, err := tdmroute.Run(context.Background(), tdmroute.Request{Instance: in, Mode: tdmroute.ModeIterative, Rounds: 4})
 	wall := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
@@ -98,24 +87,21 @@ func TestWarmStartConvergesFaster(t *testing.T) {
 	// Re-running the assignment on the same topology warm-started from
 	// the converged multipliers must converge (almost) immediately.
 	in := genInstance(t, "synopsys02", 0.01)
-	res, err := tdmroute.Solve(in, tdmroute.Options{})
-	if err != nil {
-		t.Fatal(err)
+	res := solve(t, tdmroute.Request{Instance: in})
+	assign := func(topt tdmroute.TDMOptions) tdmroute.Report {
+		return solve(t, tdmroute.Request{
+			Instance: in,
+			Mode:     tdmroute.ModeAssignOnly,
+			Options:  tdmroute.Options{TDM: topt},
+			Routing:  res.Solution.Routes,
+		}).Report
 	}
 	var lambda []float64
-	topt := tdmroute.TDMOptions{CaptureLambda: func(l []float64) { lambda = l }}
-	_, cold, err := tdmroute.AssignTDM(in, res.Solution.Routes, topt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold := assign(tdmroute.TDMOptions{CaptureLambda: func(l []float64) { lambda = l }})
 	if lambda == nil {
 		t.Fatal("CaptureLambda not called")
 	}
-	warm := tdmroute.TDMOptions{WarmLambda: lambda}
-	_, rewarm, err := tdmroute.AssignTDM(in, res.Solution.Routes, warm)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rewarm := assign(tdmroute.TDMOptions{WarmLambda: lambda})
 	if rewarm.Iterations > cold.Iterations {
 		t.Errorf("warm start took more iterations: %d vs cold %d", rewarm.Iterations, cold.Iterations)
 	}

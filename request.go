@@ -87,19 +87,17 @@ type Progress struct {
 	LB   float64
 }
 
-// Request describes one solve. It subsumes the historical entry points:
-// ModeSingle replaces Solve/SolveCtx, ModeIterative replaces
-// SolveIterative/SolveIterativeCtx, and ModeAssignOnly replaces
-// AssignTDM/AssignTDMCtx.
+// Request describes one solve.
 type Request struct {
 	// Instance is the problem instance (required).
 	Instance *Instance
 	// Mode selects the pipeline; the zero value is ModeSingle.
 	Mode Mode
-	// Options configures both pipeline stages; Options.TDM alone applies to
-	// ModeAssignOnly. Worker counts are normalized exactly once, at the Run
-	// boundary: Options.Workers fans into both stages and non-positive
-	// counts run sequentially, identically in every mode.
+	// Options configures both pipeline stages; only Options.TDM and
+	// Options.Workers apply to ModeAssignOnly. Worker counts are normalized
+	// exactly once, at the Run boundary: Options.Workers fans into both
+	// stages and non-positive counts run sequentially, identically in every
+	// mode.
 	Options Options
 	// Rounds is the feedback-round budget for ModeIterative (0 selects 3).
 	Rounds int
@@ -127,9 +125,11 @@ type Request struct {
 	// ModeDelta, ignored otherwise).
 	Delta *Delta
 
-	// onRound is the deterministic mid-round cancellation hook of the
-	// equivalence tests (see IterateOptions.onRound); it fires before the
-	// OnProgress round event.
+	// onRound, when non-nil, is invoked at the start of every feedback
+	// round, after the round's context check and before the OnProgress
+	// round event. It exists so the equivalence tests can trigger
+	// deterministic mid-round cancellation; both the session implementation
+	// and the cold reference honor it at the same point.
 	onRound func(round int)
 }
 
@@ -211,30 +211,15 @@ func dispatch(ctx context.Context, req Request) (*Response, error) {
 		if req.Retain {
 			return runSingleRetained(ctx, req)
 		}
-		res, err := runSingle(ctx, req.Instance, req.Options)
-		if err != nil {
-			return nil, err
-		}
-		return res.response(ModeSingle), nil
+		return runSingle(ctx, req.Instance, req.Options)
 
 	case ModeIterative:
 		var warm *WarmHandle
 		if req.Retain {
 			warm = &WarmHandle{in: req.Instance, opt: req.Options}
 		}
-		res, err := runIterative(ctx, req.Instance, IterateOptions{
-			Rounds:  req.Rounds,
-			Base:    req.Options,
-			onRound: req.onRound,
-		}, warm)
-		if res == nil {
-			return nil, err
-		}
-		resp := res.Result.response(ModeIterative)
-		resp.RoundsRun = res.RoundsRun
-		resp.RoundsKept = res.RoundsKept
-		resp.InitialGTR = res.InitialGTR
-		if warm != nil && err == nil {
+		resp, err := runIterative(ctx, req, warm)
+		if resp != nil && warm != nil && err == nil {
 			resp.Warm = warm
 		}
 		return resp, err
@@ -269,21 +254,13 @@ func runAssignOnly(ctx context.Context, req Request) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	resp := &Response{
+	return &Response{
 		Mode:     ModeAssignOnly,
 		Solution: &Solution{Routes: req.Routing, Assign: assign},
 		Report:   rep,
 		Times:    times,
-	}
-	if stage != "" {
-		resp.Degraded = &Degraded{
-			Stage:        stage,
-			Cause:        degradedCause(rep, ctx),
-			LRIterations: rep.Iterations,
-			IncumbentGTR: rep.GTRMax,
-		}
-	}
-	return resp, nil
+		Degraded: stageDegraded(ctx, stage, rep),
+	}, nil
 }
 
 // OptionError is the typed error of request option validation: the options
@@ -291,8 +268,9 @@ func runAssignOnly(ctx context.Context, req Request) (*Response, error) {
 // callers (CLI flag handling, the serve layer's 400 responses) can report
 // bad options without string-matching the message.
 type OptionError struct {
-	// Field is the wire name of the offending option ("queue",
-	// "partitions", ...).
+	// Field names the offending option: the wire name of a top-level knob
+	// ("partitions") or the Go path of a stage field that must be left
+	// zero ("Route.Workers").
 	Field string
 	// Value is the offending value, rendered as text.
 	Value string
@@ -305,35 +283,36 @@ func (e *OptionError) Error() string {
 }
 
 // normalized validates and canonicalizes the options once, at the Run
-// boundary: the pipeline-level Queue/Partitions knobs fan into the routing
-// stage, non-positive worker counts mean sequential, and the pipeline-level
-// worker knob fans into both stages (withWorkers). Validation failures are
+// boundary: Workers and Partitions are the only parallelism and partition
+// knobs, non-positive worker counts mean sequential, and both are copied
+// into the stages. A stage-level value set by the caller would otherwise be
+// silently overridden, so it is rejected. Validation failures are
 // *OptionError values.
 func (o Options) normalized() (Options, error) {
-	q, err := ParseQueue(o.Queue)
-	if err != nil {
-		return o, err
-	}
-	if o.Route.Queue == QueueAuto {
-		o.Route.Queue = q
+	for _, f := range []struct {
+		name, use string
+		v         int
+	}{
+		{"Route.Workers", "Workers", o.Route.Workers},
+		{"TDM.Workers", "Workers", o.TDM.Workers},
+		{"Route.Partitions", "Partitions", o.Route.Partitions},
+	} {
+		if f.v != 0 {
+			return o, &OptionError{Field: f.name, Value: strconv.Itoa(f.v),
+				Msg: "set by Run from Options." + f.use + "; leave it zero"}
+		}
 	}
 	if o.Partitions < 0 {
 		return o, &OptionError{Field: "partitions", Value: strconv.Itoa(o.Partitions),
 			Msg: "want >= 0 (0 selects auto, 1 disables partitioned routing)"}
 	}
-	if o.Route.Partitions == 0 {
-		o.Route.Partitions = o.Partitions
-	}
 	if o.Workers < 0 {
 		o.Workers = 1
 	}
-	if o.Route.Workers < 0 {
-		o.Route.Workers = 1
-	}
-	if o.TDM.Workers < 0 {
-		o.TDM.Workers = 1
-	}
-	return o.withWorkers(), nil
+	o.Route.Workers = o.Workers
+	o.TDM.Workers = o.Workers
+	o.Route.Partitions = o.Partitions
+	return o, nil
 }
 
 // wireProgress chains OnProgress into the TDM trace and the round hook.
@@ -359,35 +338,6 @@ func (req Request) wireProgress() Request {
 		emit(Progress{Kind: ProgressRound, Round: r})
 	}
 	return req
-}
-
-// response lifts a Result into the unified Response shape.
-func (r *Result) response(mode Mode) *Response {
-	if r == nil {
-		return nil
-	}
-	return &Response{
-		Mode:       mode,
-		Solution:   r.Solution,
-		Report:     r.Report,
-		RouteStats: r.RouteStats,
-		Times:      r.Times,
-		Degraded:   r.Degraded,
-	}
-}
-
-// result projects a Response back onto the deprecated Result shape.
-func (r *Response) result() *Result {
-	if r == nil {
-		return nil
-	}
-	return &Result{
-		Solution:   r.Solution,
-		Report:     r.Report,
-		RouteStats: r.RouteStats,
-		Times:      r.Times,
-		Degraded:   r.Degraded,
-	}
 }
 
 // responseSchemaVersion is the wire schema generation emitted by

@@ -26,71 +26,10 @@ func requestInstance(t *testing.T) *Instance {
 	return in
 }
 
-// TestRunMatchesDeprecatedWrappers pins the redesign contract: Run with each
-// mode produces byte-identical solutions to the entry points it subsumes.
-func TestRunMatchesDeprecatedWrappers(t *testing.T) {
-	in := requestInstance(t)
-
-	single, err := Solve(in, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Run(context.Background(), Request{Instance: in})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(solutionBytes(t, single.Solution), solutionBytes(t, got.Solution)) {
-		t.Fatal("ModeSingle: Run and Solve diverged")
-	}
-	if got.Mode != ModeSingle {
-		t.Fatalf("Mode = %v, want ModeSingle", got.Mode)
-	}
-
-	iter, err := SolveIterative(in, IterateOptions{Rounds: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	goti, err := Run(context.Background(), Request{Instance: in, Mode: ModeIterative, Rounds: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(solutionBytes(t, iter.Solution), solutionBytes(t, goti.Solution)) {
-		t.Fatal("ModeIterative: Run and SolveIterative diverged")
-	}
-	if goti.RoundsRun != iter.RoundsRun || goti.RoundsKept != iter.RoundsKept ||
-		goti.InitialGTR != iter.InitialGTR {
-		t.Fatalf("ModeIterative round accounting: Run (%d/%d initial %d) vs wrapper (%d/%d initial %d)",
-			goti.RoundsRun, goti.RoundsKept, goti.InitialGTR,
-			iter.RoundsRun, iter.RoundsKept, iter.InitialGTR)
-	}
-
-	assign, rep, err := AssignTDM(in, single.Solution.Routes, TDMOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gota, err := Run(context.Background(), Request{
-		Instance: in,
-		Mode:     ModeAssignOnly,
-		Routing:  single.Solution.Routes,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := &Solution{Routes: single.Solution.Routes, Assign: assign}
-	if !bytes.Equal(solutionBytes(t, want), solutionBytes(t, gota.Solution)) {
-		t.Fatal("ModeAssignOnly: Run and AssignTDM diverged")
-	}
-	if gota.Report.GTRMax != rep.GTRMax || gota.Report.Iterations != rep.Iterations {
-		t.Fatalf("ModeAssignOnly report: Run (%d, %d iters) vs wrapper (%d, %d iters)",
-			gota.Report.GTRMax, gota.Report.Iterations, rep.GTRMax, rep.Iterations)
-	}
-}
-
-// TestRunNormalizesWorkers is the regression for the historical withWorkers
-// inconsistency: worker counts are normalized exactly once at the Run
-// boundary, so zero and negative counts behave as sequential in every mode
-// — including ModeAssignOnly, whose old entry point bypassed the pipeline
-// normalization entirely.
+// TestRunNormalizesWorkers pins the worker normalization at the Run
+// boundary: Options.Workers is the only worker knob, and zero and negative
+// counts behave as sequential in every mode, ModeAssignOnly included. Each
+// response also echoes its mode.
 func TestRunNormalizesWorkers(t *testing.T) {
 	in := requestInstance(t)
 	base, err := Run(context.Background(), Request{Instance: in})
@@ -105,11 +44,7 @@ func TestRunNormalizesWorkers(t *testing.T) {
 			req := Request{
 				Instance: in,
 				Mode:     mode,
-				Options: Options{
-					Workers: workers,
-					Route:   RouteOptions{Workers: workers},
-					TDM:     TDMOptions{Workers: workers},
-				},
+				Options:  Options{Workers: workers},
 			}
 			if mode == ModeIterative {
 				req.Rounds = 1
@@ -120,6 +55,9 @@ func TestRunNormalizesWorkers(t *testing.T) {
 			resp, err := Run(context.Background(), req)
 			if err != nil {
 				t.Fatalf("%v workers=%d: %v", mode, workers, err)
+			}
+			if resp.Mode != mode {
+				t.Fatalf("%v workers=%d: Response.Mode = %v", mode, workers, resp.Mode)
 			}
 			b := solutionBytes(t, resp.Solution)
 			if ref == nil {

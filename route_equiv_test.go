@@ -9,71 +9,6 @@ import (
 	"tdmroute/internal/problem"
 )
 
-// TestQueueEngineEquivalence is the byte-identity contract of the bucket
-// queue: across generator seeds, worker counts, and a deterministic
-// mid-round cancellation, routing with Queue "bucket" must reproduce the
-// binary-heap engine exactly — same solution bytes, same objective. The
-// canonical equal-cost tie-break (smallest edge id wins the predecessor)
-// makes every shortest path a pure function of the graph and costs,
-// independent of queue pop order; this suite is that argument's executable
-// form at pipeline scale.
-func TestQueueEngineEquivalence(t *testing.T) {
-	cases := []struct {
-		bench string
-		shift int64
-	}{
-		{"synopsys01", 0},
-		{"synopsys03", 3},
-		{"hidden02", 5},
-	}
-	for _, tc := range cases {
-		for _, workers := range []int{1, 4} {
-			for _, cancelRound := range []int{-1, 1} {
-				in := equivInstance(t, tc.bench, tc.shift)
-				run := func(queue string) *Response {
-					ctx, cancel := context.WithCancel(context.Background())
-					defer cancel()
-					req := Request{
-						Instance: in,
-						Mode:     ModeIterative,
-						Rounds:   3,
-						Options:  Options{Workers: workers, Queue: queue},
-					}
-					if cancelRound >= 0 {
-						req.onRound = func(round int) {
-							if round == cancelRound {
-								cancel()
-							}
-						}
-					}
-					resp, err := Run(ctx, req)
-					if err != nil {
-						t.Fatalf("%s workers=%d cancel=%d queue=%s: %v",
-							tc.bench, workers, cancelRound, queue, err)
-					}
-					return resp
-				}
-				heap := run("heap")
-				bucket := run("bucket")
-				if heap.Report.GTRMax != bucket.Report.GTRMax ||
-					heap.RoundsRun != bucket.RoundsRun ||
-					heap.RoundsKept != bucket.RoundsKept {
-					t.Fatalf("%s workers=%d cancel=%d: heap (gtr=%d run=%d kept=%d) vs bucket (gtr=%d run=%d kept=%d)",
-						tc.bench, workers, cancelRound,
-						heap.Report.GTRMax, heap.RoundsRun, heap.RoundsKept,
-						bucket.Report.GTRMax, bucket.RoundsRun, bucket.RoundsKept)
-				}
-				hb := solutionBytes(t, heap.Solution)
-				bb := solutionBytes(t, bucket.Solution)
-				if !bytes.Equal(hb, bb) {
-					t.Fatalf("%s workers=%d cancel=%d: heap and bucket solutions diverged (%d vs %d bytes)",
-						tc.bench, workers, cancelRound, len(hb), len(bb))
-				}
-			}
-		}
-	}
-}
-
 // TestPartitionedRoutingWorkerInvariance pins the determinism contract of
 // partitioned initial routing: for a fixed Partitions count the result is a
 // pure function of the instance and the options minus Workers — unlike the
@@ -115,9 +50,10 @@ func TestPartitionedRoutingWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestOptionValidation pins the typed validation of the new Request knobs:
-// a bad queue name or a negative partition count fails with an *OptionError
-// naming the field, before any solving starts.
+// TestOptionValidation pins the typed validation of the Run-boundary knobs:
+// a negative partition count, or a parallelism or partition value set on a
+// stage instead of on Options, fails with an *OptionError naming the field
+// before any solving starts.
 func TestOptionValidation(t *testing.T) {
 	in := equivInstance(t, "synopsys01", 0)
 	cases := []struct {
@@ -125,23 +61,26 @@ func TestOptionValidation(t *testing.T) {
 		opt   Options
 		field string
 	}{
-		{"bad queue", Options{Queue: "fibonacci"}, "queue"},
 		{"negative partitions", Options{Partitions: -2}, "partitions"},
+		{"stage route workers", Options{Route: RouteOptions{Workers: 2}}, "Route.Workers"},
+		{"stage tdm workers", Options{Workers: 2, TDM: TDMOptions{Workers: 2}}, "TDM.Workers"},
+		{"stage partitions", Options{Route: RouteOptions{Partitions: 3}}, "Route.Partitions"},
+		{"negative stage workers", Options{Route: RouteOptions{Workers: -1}}, "Route.Workers"},
 	}
 	for _, tc := range cases {
-		_, err := Run(context.Background(), Request{Instance: in, Options: tc.opt})
-		var oe *OptionError
-		if !errors.As(err, &oe) {
-			t.Fatalf("%s: Run returned %v, want *OptionError", tc.name, err)
-		}
-		if oe.Field != tc.field {
-			t.Errorf("%s: OptionError.Field = %q, want %q", tc.name, oe.Field, tc.field)
-		}
-	}
-	// The accepted names round-trip through ParseQueue.
-	for _, q := range []string{"", "auto", "heap", "bucket"} {
-		if _, err := ParseQueue(q); err != nil {
-			t.Errorf("ParseQueue(%q) = %v, want nil", q, err)
+		for _, mode := range []Mode{ModeSingle, ModeAssignOnly} {
+			req := Request{Instance: in, Mode: mode, Options: tc.opt}
+			if mode == ModeAssignOnly {
+				req.Routing = make(Routing, len(in.Nets))
+			}
+			_, err := Run(context.Background(), req)
+			var oe *OptionError
+			if !errors.As(err, &oe) {
+				t.Fatalf("%s %v: Run returned %v, want *OptionError", tc.name, mode, err)
+			}
+			if oe.Field != tc.field {
+				t.Errorf("%s %v: OptionError.Field = %q, want %q", tc.name, mode, oe.Field, tc.field)
+			}
 		}
 	}
 }

@@ -1,17 +1,24 @@
 #!/bin/sh
-# Scale-1.0 performance smoke: runs the iterated solve at the PUBLISHED
-# benchmark sizes with both Dijkstra engines and asserts that the bucket
-# queue reproduces the binary heap byte-for-byte (solution digests) while
-# reporting the wall times. This is the CI-optional "fullscale" job
-# (workflow_dispatch + nightly cron); the tier-1 jobs never run at this
-# scale.
+# Scale-1.0 smoke: checks two contracts at the PUBLISHED benchmark sizes,
+# where the per-PR tier never runs. This is the CI-optional "fullscale" job
+# (workflow_dispatch + nightly cron).
+#
+#   1. Worker invariance of partitioned routing: the iterated solve with
+#      -partitions 3 must produce identical solution digests at -workers 1
+#      and -workers 2 (the routing is a pure function of the instance and
+#      the partition count).
+#   2. Legality: synopsys01 is generated with cmd/gen, solved with
+#      cmd/tdmroute, and the written solution is checked by the independent
+#      checker cmd/eval (ValidateSolution, with an AuditSolution report of
+#      every violation on failure).
 #
 #   scripts/fullscale.sh
 #
 # Tunables (environment):
-#   FULLSCALE_BENCHES   comma-separated benchmark subset (default keeps the
-#                       job time-boxed to the two smallest boards)
-#   FULLSCALE_ROUNDS    feedback-round budget (default 1)
+#   FULLSCALE_BENCHES   comma-separated benchmark subset for check 1
+#                       (default keeps the job time-boxed to the two
+#                       smallest boards)
+#   FULLSCALE_ROUNDS    feedback-round budget for check 1 (default 1)
 #   FULLSCALE_SCALE     suite scale factor (default 1.0; lower it to smoke
 #                       the script itself)
 #   FULLSCALE_OUT       scratch/output directory (default /tmp/fullscale)
@@ -25,30 +32,32 @@ OUT="${FULLSCALE_OUT:-/tmp/fullscale}"
 mkdir -p "$OUT"
 
 echo "== build"
-go build -o "$OUT/bench" ./cmd/bench
+go build -o "$OUT/" ./cmd/bench ./cmd/gen ./cmd/tdmroute ./cmd/eval
 
-echo "== scale $SCALE, heap queue, workers=1"
-"$OUT/bench" -benchjson "$OUT/heap.json" -scale "$SCALE" -benchmarks "$BENCHES" \
-  -rounds "$ROUNDS" -reps 1 -workers 1 -queue heap -v
+for w in 1 2; do
+  echo "== scale $SCALE, partitions 3, workers $w"
+  "$OUT/bench" -benchjson "$OUT/part-w$w.json" -scale "$SCALE" -benchmarks "$BENCHES" \
+    -rounds "$ROUNDS" -reps 1 -workers "$w" -partitions 3 -v
+done
 
-echo "== scale $SCALE, bucket queue, workers=1"
-"$OUT/bench" -benchjson "$OUT/bucket.json" -scale "$SCALE" -benchmarks "$BENCHES" \
-  -rounds "$ROUNDS" -reps 1 -workers 1 -queue bucket -v
-
-# Byte-identity: at a fixed worker count the two engines must produce
-# identical solutions, so their contest-format digests must match row for
-# row. A divergence here means the canonical tie-break contract broke.
-heap_digests=$(grep -o '"solution_sha256": "[a-f0-9]*"' "$OUT/heap.json")
-bucket_digests=$(grep -o '"solution_sha256": "[a-f0-9]*"' "$OUT/bucket.json")
-if [ "$heap_digests" != "$bucket_digests" ]; then
-  echo "FAIL: heap and bucket solution digests diverged at scale $SCALE"
-  echo "-- heap:";   echo "$heap_digests"
-  echo "-- bucket:"; echo "$bucket_digests"
+# A divergence here means the partitioned router's schedule leaked into
+# its result.
+w1=$(grep -o '"solution_sha256": "[a-f0-9]*"' "$OUT/part-w1.json")
+w2=$(grep -o '"solution_sha256": "[a-f0-9]*"' "$OUT/part-w2.json")
+if [ -z "$w1" ] || [ "$w1" != "$w2" ]; then
+  echo "FAIL: partitioned solution digests differ across worker counts at scale $SCALE"
+  echo "-- workers 1:"; echo "$w1"
+  echo "-- workers 2:"; echo "$w2"
   exit 1
 fi
-echo "solution digests identical across queue engines"
+echo "partitioned solution digests identical at workers 1 and 2"
 
-echo "== wall times (ms, heap then bucket)"
-grep -o '"wall_ms": [0-9.]*' "$OUT/heap.json"
-grep -o '"wall_ms": [0-9.]*' "$OUT/bucket.json"
+echo "== wall times (ms, workers 1 then 2)"
+grep -o '"wall_ms": [0-9.]*' "$OUT/part-w1.json"
+grep -o '"wall_ms": [0-9.]*' "$OUT/part-w2.json"
+
+echo "== legality: synopsys01 at scale $SCALE through cmd/tdmroute and cmd/eval"
+"$OUT/gen" -name synopsys01 -scale "$SCALE" -o "$OUT/synopsys01.txt"
+"$OUT/tdmroute" -in "$OUT/synopsys01.txt" -out "$OUT/synopsys01.sol"
+"$OUT/eval" -in "$OUT/synopsys01.txt" -sol "$OUT/synopsys01.sol"
 echo "OK"

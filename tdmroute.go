@@ -22,11 +22,11 @@
 // Basic use:
 //
 //	in, _ := tdmroute.LoadInstance("bench.txt")
-//	res, err := tdmroute.Solve(in, tdmroute.Options{})
+//	res, err := tdmroute.Run(ctx, tdmroute.Request{Instance: in})
 //	// res.Solution is legal; res.Report.GTRMax is the objective;
 //	// res.Report.LowerBound certifies how far from relaxed-optimal it is.
 //
-// The stage timings in Result.Times reproduce the runtime breakdown of
+// The stage timings in Response.Times reproduce the runtime breakdown of
 // Fig. 3(a); tdm.Options.Trace exposes the convergence series of Fig. 3(b).
 package tdmroute
 
@@ -65,9 +65,6 @@ type (
 
 	// RouteOptions tunes the routing stage (Sec. III).
 	RouteOptions = route.Options
-	// QueueKind selects the Dijkstra priority-queue engine of the routing
-	// stage (RouteOptions.Queue).
-	QueueKind = route.QueueKind
 	// RouteStats reports routing-stage work.
 	RouteStats = route.Stats
 	// TDMOptions tunes the TDM assignment stage (Sec. IV).
@@ -86,31 +83,6 @@ type (
 // the paper's objective).
 func AnalyzeTiming(in *Instance, sol *Solution, model TimingModel) (*TimingReport, error) {
 	return timing.Analyze(in, sol, model)
-}
-
-// Queue engines for RouteOptions.Queue / Options.Queue.
-const (
-	// QueueAuto selects the fastest engine (currently the bucket queue).
-	QueueAuto = route.QueueAuto
-	// QueueHeap is the classic binary heap.
-	QueueHeap = route.QueueHeap
-	// QueueBucket is the monotone bucket (radix) queue for integer costs.
-	QueueBucket = route.QueueBucket
-)
-
-// ParseQueue maps the wire name of a queue engine to its QueueKind. The
-// accepted names are "auto" (or empty), "heap", and "bucket"; anything else
-// is an *OptionError.
-func ParseQueue(s string) (QueueKind, error) {
-	switch s {
-	case "", "auto":
-		return QueueAuto, nil
-	case "heap":
-		return QueueHeap, nil
-	case "bucket":
-		return QueueBucket, nil
-	}
-	return 0, &OptionError{Field: "queue", Value: s, Msg: `want "auto", "heap", or "bucket"`}
 }
 
 // Legalization domains for TDMOptions.Legal.
@@ -169,40 +141,23 @@ type (
 // Options configures the full co-optimization pipeline. The zero value
 // reproduces the paper's published parameters.
 type Options struct {
+	// Route and TDM tune the two stages. Their parallelism and partition
+	// fields (Route.Workers, Route.Partitions, TDM.Workers) are filled from
+	// Workers and Partitions at the Run boundary and must be left zero: a
+	// non-zero value there is an *OptionError naming the field.
 	Route RouteOptions
 	TDM   TDMOptions
-	// Workers is the default worker count for both stages: it fills
-	// Route.Workers and TDM.Workers when those are zero, so one knob
-	// parallelizes the whole pipeline. Each stage is deterministic for a
-	// fixed worker count; see RouteOptions.Workers for the routing
-	// wave-determinism contract.
+	// Workers is the worker count of both stages; zero and negative values
+	// run sequentially. Each stage is deterministic for a fixed worker
+	// count; see RouteOptions.Workers for the routing wave-determinism
+	// contract.
 	Workers int
-	// Queue selects the routing stage's Dijkstra engine by wire name:
-	// "auto" (or empty), "heap", or "bucket". It fills Route.Queue when that
-	// is unset; both engines produce byte-identical routings (the canonical
-	// equal-cost tie-break makes the shortest path independent of queue pop
-	// order), so this is purely a performance knob. Anything else fails
+	// Partitions is the spatial region count of partitioned initial routing
+	// (RouteOptions.Partitions). 0 selects auto (currently a single region,
+	// i.e. the classic wave path — partitioning changes the routing result,
+	// so it is strictly opt-in); 1 disables explicitly; negative values fail
 	// request validation with an *OptionError.
-	Queue string
-	// Partitions is the spatial region count of partitioned initial routing.
-	// It fills Route.Partitions when that is zero. 0 selects auto (currently
-	// a single region, i.e. the classic wave path — partitioning changes
-	// the routing result, so it is strictly opt-in); 1 disables explicitly;
-	// negative values fail request validation with an *OptionError.
 	Partitions int
-}
-
-// withWorkers propagates the pipeline-level worker count into the stages.
-func (o Options) withWorkers() Options {
-	if o.Workers != 0 {
-		if o.Route.Workers == 0 {
-			o.Route.Workers = o.Workers
-		}
-		if o.TDM.Workers == 0 {
-			o.TDM.Workers = o.Workers
-		}
-	}
-	return o
 }
 
 // StageTimes records wall-clock time per pipeline stage, matching the
@@ -245,8 +200,8 @@ type Degraded struct {
 	Cause error
 	// LRIterations counts completed Lagrangian-relaxation iterations.
 	LRIterations int
-	// FeedbackRounds counts feedback rounds started by SolveIterative
-	// (always 0 for Solve).
+	// FeedbackRounds counts feedback rounds started by a ModeIterative run
+	// (always 0 in the other modes).
 	FeedbackRounds int
 	// IncumbentGTR is GTR_max of the returned incumbent solution.
 	IncumbentGTR int64
@@ -257,49 +212,10 @@ func (d *Degraded) String() string {
 		d.Stage, d.LRIterations, d.IncumbentGTR, d.Cause)
 }
 
-// Result is the outcome of Solve.
-type Result struct {
-	Solution   *Solution
-	Report     Report
-	RouteStats RouteStats
-	Times      StageTimes
-	// Degraded is non-nil when the run was interrupted and Solution is a
-	// best-so-far incumbent; nil means the full optimization budget ran.
-	Degraded *Degraded
-}
-
-// Solve runs the full framework of Fig. 2(b) — NetGroup-aware routing
-// followed by TDM ratio assignment — and returns a legal solution.
-//
-// Deprecated: Use Run with a ModeSingle Request; Solve is a compatibility
-// wrapper over it.
-func Solve(in *Instance, opt Options) (*Result, error) {
-	return SolveCtx(context.Background(), in, opt)
-}
-
-// SolveCtx is Solve under a context: when ctx is cancelled or its deadline
-// expires mid-solve, the pipeline stops at the next deterministic iteration
-// boundary and returns the best incumbent solution found so far, with
-// Result.Degraded describing the interruption. An error is returned only
-// when no legal incumbent exists yet (cancellation before initial routing
-// completes, a malformed instance, or a panic before legalization).
-// Cancellation is observed only at deterministic boundaries, so for a fixed
-// worker count a fixed cancellation point yields a bit-identical incumbent.
-//
-// Deprecated: Use Run with a ModeSingle Request; SolveCtx is a
-// compatibility wrapper over it.
-func SolveCtx(ctx context.Context, in *Instance, opt Options) (*Result, error) {
-	resp, err := Run(ctx, Request{Instance: in, Options: opt})
-	if err != nil {
-		return nil, err
-	}
-	return resp.result(), nil
-}
-
 // runSingle is the ModeSingle pipeline: routing followed by TDM ratio
 // assignment, with options already normalized by the Run boundary.
-func runSingle(ctx context.Context, in *Instance, opt Options) (*Result, error) {
-	res := &Result{}
+func runSingle(ctx context.Context, in *Instance, opt Options) (*Response, error) {
+	res := &Response{Mode: ModeSingle}
 	t0 := time.Now()
 	var routes Routing
 	var rstats RouteStats
@@ -326,44 +242,8 @@ func runSingle(ctx context.Context, in *Instance, opt Options) (*Result, error) 
 	if routeCurtailed {
 		stage = StageRoute
 	}
-	if stage != "" {
-		res.Degraded = &Degraded{
-			Stage:        stage,
-			Cause:        degradedCause(rep, ctx),
-			LRIterations: rep.Iterations,
-			IncumbentGTR: rep.GTRMax,
-		}
-	}
+	res.Degraded = stageDegraded(ctx, stage, rep)
 	return res, nil
-}
-
-// AssignTDM runs only the TDM ratio assignment stage on a fixed routing
-// topology — the "+TA" experiment of Table II, where the paper improves the
-// contest winners' solutions from their topologies alone.
-//
-// Deprecated: Use Run with a ModeAssignOnly Request; AssignTDM is a
-// compatibility wrapper over it.
-func AssignTDM(in *Instance, routes Routing, opt TDMOptions) (Assignment, Report, error) {
-	return AssignTDMCtx(context.Background(), in, routes, opt)
-}
-
-// AssignTDMCtx is AssignTDM under a context: an interrupted run still
-// returns a legal assignment legalized from the best LR incumbent, with
-// Report.Interrupted recording the cause.
-//
-// Deprecated: Use Run with a ModeAssignOnly Request; AssignTDMCtx is a
-// compatibility wrapper over it.
-func AssignTDMCtx(ctx context.Context, in *Instance, routes Routing, opt TDMOptions) (Assignment, Report, error) {
-	resp, err := Run(ctx, Request{
-		Instance: in,
-		Mode:     ModeAssignOnly,
-		Options:  Options{TDM: opt},
-		Routing:  routes,
-	})
-	if err != nil {
-		return Assignment{}, Report{}, err
-	}
-	return resp.Solution.Assign, resp.Report, nil
 }
 
 // assignTimed splits the assignment stage into the LR and

@@ -2,12 +2,23 @@ package tdmroute_test
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
 	"tdmroute"
 	"tdmroute/internal/gen"
 )
+
+// solve runs a request through Run and fails the test on error.
+func solve(t testing.TB, req tdmroute.Request) *tdmroute.Response {
+	t.Helper()
+	res, err := tdmroute.Run(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 
 func genInstance(t testing.TB, name string, scale float64) *tdmroute.Instance {
 	t.Helper()
@@ -24,10 +35,7 @@ func genInstance(t testing.TB, name string, scale float64) *tdmroute.Instance {
 
 func TestSolveEndToEnd(t *testing.T) {
 	in := genInstance(t, "synopsys01", 0.005)
-	res, err := tdmroute.Solve(in, tdmroute.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := solve(t, tdmroute.Request{Instance: in})
 	if err := tdmroute.ValidateSolution(in, res.Solution); err != nil {
 		t.Fatalf("invalid solution: %v", err)
 	}
@@ -51,10 +59,7 @@ func TestSolveEndToEnd(t *testing.T) {
 
 func TestAssignTDMOnExternalTopology(t *testing.T) {
 	in := genInstance(t, "synopsys02", 0.005)
-	res, err := tdmroute.Solve(in, tdmroute.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := solve(t, tdmroute.Request{Instance: in})
 	// Round-trip the topology through the text format, as the "+TA"
 	// experiment does with the winners' output files.
 	var buf bytes.Buffer
@@ -68,17 +73,13 @@ func TestAssignTDMOnExternalTopology(t *testing.T) {
 	if err := tdmroute.ValidateRouting(in, routes); err != nil {
 		t.Fatal(err)
 	}
-	assign, rep, err := tdmroute.AssignTDM(in, routes, tdmroute.TDMOptions{})
-	if err != nil {
+	ta := solve(t, tdmroute.Request{Instance: in, Mode: tdmroute.ModeAssignOnly, Routing: routes})
+	if err := tdmroute.ValidateSolution(in, ta.Solution); err != nil {
 		t.Fatal(err)
 	}
-	sol := &tdmroute.Solution{Routes: routes, Assign: assign}
-	if err := tdmroute.ValidateSolution(in, sol); err != nil {
-		t.Fatal(err)
-	}
-	// Same topology, same algorithm: the result must match Solve's.
-	if rep.GTRMax != res.Report.GTRMax {
-		t.Errorf("AssignTDM GTRMax %d != Solve's %d on identical topology", rep.GTRMax, res.Report.GTRMax)
+	// Same topology, same algorithm: the result must match ModeSingle's.
+	if ta.Report.GTRMax != res.Report.GTRMax {
+		t.Errorf("ModeAssignOnly GTRMax %d != ModeSingle's %d on identical topology", ta.Report.GTRMax, res.Report.GTRMax)
 	}
 }
 
@@ -104,14 +105,8 @@ func TestInstanceTextRoundTripThroughFacade(t *testing.T) {
 
 func TestSolveDeterministic(t *testing.T) {
 	in := genInstance(t, "synopsys01", 0.003)
-	r1, err := tdmroute.Solve(in, tdmroute.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := tdmroute.Solve(in, tdmroute.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r1 := solve(t, tdmroute.Request{Instance: in})
+	r2 := solve(t, tdmroute.Request{Instance: in})
 	if r1.Report.GTRMax != r2.Report.GTRMax || r1.Report.Iterations != r2.Report.Iterations {
 		t.Errorf("nondeterministic: %+v vs %+v", r1.Report, r2.Report)
 	}
@@ -120,17 +115,14 @@ func TestSolveDeterministic(t *testing.T) {
 func TestSolveTraceOption(t *testing.T) {
 	in := genInstance(t, "synopsys01", 0.002)
 	count := 0
-	_, err := tdmroute.Solve(in, tdmroute.Options{
+	solve(t, tdmroute.Request{Instance: in, Options: tdmroute.Options{
 		TDM: tdmroute.TDMOptions{Trace: func(iter int, z, lb float64) {
 			count++
 			if lb > z*(1+1e-9) {
 				t.Errorf("iter %d: lb %g above z %g", iter, lb, z)
 			}
 		}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}})
 	if count == 0 {
 		t.Error("trace never fired")
 	}
@@ -138,10 +130,7 @@ func TestSolveTraceOption(t *testing.T) {
 
 func TestSolutionFileRoundTrip(t *testing.T) {
 	in := genInstance(t, "synopsys01", 0.002)
-	res, err := tdmroute.Solve(in, tdmroute.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := solve(t, tdmroute.Request{Instance: in})
 	var buf bytes.Buffer
 	if err := tdmroute.WriteSolution(&buf, res.Solution); err != nil {
 		t.Fatal(err)
@@ -165,10 +154,7 @@ func TestSolutionFileRoundTrip(t *testing.T) {
 
 func TestVerifySchedulesOnSolvedInstance(t *testing.T) {
 	in := genInstance(t, "synopsys01", 0.003)
-	res, err := tdmroute.Solve(in, tdmroute.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := solve(t, tdmroute.Request{Instance: in})
 	verified, skipped, err := tdmroute.VerifySchedules(in, res.Solution)
 	if err != nil {
 		t.Fatalf("schedule verification failed: %v", err)
@@ -181,10 +167,7 @@ func TestVerifySchedulesOnSolvedInstance(t *testing.T) {
 
 func TestVerifySchedulesDetectsOverload(t *testing.T) {
 	in := genInstance(t, "synopsys01", 0.002)
-	res, err := tdmroute.Solve(in, tdmroute.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := solve(t, tdmroute.Request{Instance: in})
 	// Corrupt: drop every large ratio to 2 regardless of the edge's load,
 	// overloading the slot budget somewhere.
 	sol := res.Solution
@@ -214,14 +197,8 @@ func TestVerifySchedulesDetectsOverload(t *testing.T) {
 // as a diff rather than silently shifting results.
 func TestGoldenDeterminism(t *testing.T) {
 	in := genInstance(t, "synopsys01", 0.005)
-	res, err := tdmroute.Solve(in, tdmroute.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, err := tdmroute.Solve(in, tdmroute.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := solve(t, tdmroute.Request{Instance: in})
+	r1 := solve(t, tdmroute.Request{Instance: in})
 	if res.Report.GTRMax != r1.Report.GTRMax || res.Report.GTRNoRef != r1.Report.GTRNoRef ||
 		res.Report.Iterations != r1.Report.Iterations {
 		t.Fatalf("nondeterministic pipeline: %+v vs %+v", res.Report, r1.Report)
