@@ -401,10 +401,12 @@ func (co *Coordinator) collect(j *cjob, b *backend, remoteID string) error {
 		return fmt.Errorf("%w: backend %s job %s: digest matched but bytes do not parse: %v",
 			ErrCorruptResponse, b.name, remoteID, err)
 	}
-	co.finishJob(j, st.State, st, sol, text, remoteErr(st))
+	// Cache before finishing: a client that has seen this job finish may
+	// resubmit the same content at once and must find it.
 	if st.State == serve.StateDone && st.Response.Degraded == nil && !j.isDelta && j.key != "" {
 		co.cache.put(&cacheEntry{key: j.key, status: *st, sol: sol, text: text})
 	}
+	co.finishJob(j, st.State, st, sol, text, remoteErr(st))
 	return nil
 }
 
