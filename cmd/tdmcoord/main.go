@@ -23,18 +23,14 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"tdmroute/internal/coord"
+	"tdmroute/internal/serve"
 )
 
 func main() {
@@ -103,49 +99,15 @@ func coordMain(args []string, logw io.Writer, ready func(addr string)) int {
 		return 2
 	}
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		logf("%v", err)
-		return 1
+	d := &serve.Daemon{
+		Addr:         *addr,
+		Handler:      co.Handler(),
+		Drain:        co.Shutdown,
+		DrainTimeout: *drainTimeout,
+		Logf:         logf,
+		Banner:       fmt.Sprintf("(%d backends)", len(backends)),
+		DrainNote:    "(in-flight jobs are cancelled on their backends)",
+		Ready:        ready,
 	}
-	hs := &http.Server{Handler: co.Handler()}
-
-	// The signal handler is installed before the listener is announced so
-	// a SIGTERM can never race the serving loop's setup.
-	//lint:ignore rawgo daemon signal relay, not solver parallelism: os/signal requires a buffered channel
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigc)
-
-	//lint:ignore rawgo HTTP serve loop result channel, not solver parallelism: single buffered handoff from the serving goroutine
-	errc := make(chan error, 1)
-	//lint:ignore rawgo HTTP serving goroutine, not solver parallelism: http.Server.Serve blocks for the daemon's lifetime
-	go func() { errc <- hs.Serve(ln) }()
-
-	logf("listening on %s (%d backends)", ln.Addr(), len(backends))
-	if ready != nil {
-		ready(ln.Addr().String())
-	}
-
-	select {
-	case sig := <-sigc:
-		logf("%v: draining (in-flight jobs are cancelled on their backends)", sig)
-		ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-		defer cancel()
-		// Jobs first, connections second: SSE streams end once every job
-		// is terminal, so the HTTP shutdown that follows can complete.
-		if err := co.Shutdown(ctx); err != nil {
-			logf("drain failed: %v", err)
-			return 1
-		}
-		if err := hs.Shutdown(ctx); err != nil {
-			logf("http shutdown: %v", err)
-			return 1
-		}
-		logf("drained cleanly")
-		return 0
-	case err := <-errc:
-		logf("serve: %v", err)
-		return 1
-	}
+	return d.Run()
 }

@@ -19,15 +19,10 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"tdmroute"
@@ -81,50 +76,15 @@ func serverMain(args []string, logw io.Writer, ready func(addr string)) int {
 		cfg.Logf = logf
 	}
 	srv := serve.New(cfg)
-
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		logf("%v", err)
-		return 1
+	d := &serve.Daemon{
+		Addr:         *addr,
+		Handler:      srv.Handler(),
+		Drain:        srv.Shutdown,
+		DrainTimeout: *drainTimeout,
+		Logf:         logf,
+		Banner:       fmt.Sprintf("(pool %d, queue %d)", *pool, *queue),
+		DrainNote:    "(in-flight jobs finish with best-so-far incumbents)",
+		Ready:        ready,
 	}
-	hs := &http.Server{Handler: srv.Handler()}
-
-	// The signal handler is installed before the listener is announced so
-	// a SIGTERM can never race the serving loop's setup.
-	//lint:ignore rawgo daemon signal relay, not solver parallelism: os/signal requires a buffered channel
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigc)
-
-	//lint:ignore rawgo HTTP serve loop result channel, not solver parallelism: single buffered handoff from the serving goroutine
-	errc := make(chan error, 1)
-	//lint:ignore rawgo HTTP serving goroutine, not solver parallelism: http.Server.Serve blocks for the daemon's lifetime
-	go func() { errc <- hs.Serve(ln) }()
-
-	logf("listening on %s (pool %d, queue %d)", ln.Addr(), *pool, *queue)
-	if ready != nil {
-		ready(ln.Addr().String())
-	}
-
-	select {
-	case sig := <-sigc:
-		logf("%v: draining (in-flight jobs finish with best-so-far incumbents)", sig)
-		ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-		defer cancel()
-		// Jobs first, connections second: SSE streams end once every job
-		// is terminal, so the HTTP shutdown that follows can complete.
-		if err := srv.Shutdown(ctx); err != nil {
-			logf("drain failed: %v", err)
-			return 1
-		}
-		if err := hs.Shutdown(ctx); err != nil {
-			logf("http shutdown: %v", err)
-			return 1
-		}
-		logf("drained cleanly")
-		return 0
-	case err := <-errc:
-		logf("serve: %v", err)
-		return 1
-	}
+	return d.Run()
 }

@@ -160,6 +160,6 @@ func (co *Coordinator) observeError(b *backend, err error) {
 		return
 	}
 	if b.markFail(err, co.cfg.BreakerThreshold) {
-		co.logf("backend %s: breaker open: %v", b.name, err)
+		co.Logf("backend %s: breaker open: %v", b.name, err)
 	}
 }

@@ -139,12 +139,12 @@ func TestCoordinatorChaosSweep(t *testing.T) {
 						vector, events, refEvents)
 				}
 			case serve.StateFailed:
-				j := co.lookup(st.ID)
+				j, _ := co.Lookup(st.ID).(*cjob)
 				if j == nil {
 					t.Fatal("failed job vanished from the coordinator")
 				}
-				if !typedCoordErr(j.err) {
-					t.Fatalf("vector %s: failed job's error is not typed: %v", vector, j.err)
+				if !typedCoordErr(j.Err()) {
+					t.Fatalf("vector %s: failed job's error is not typed: %v", vector, j.Err())
 				}
 				if final.Error == "" {
 					t.Fatalf("vector %s: failed job reports no error over the wire", vector)

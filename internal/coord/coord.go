@@ -1,6 +1,9 @@
 // Package coord is the fault-tolerant coordinator tier behind cmd/tdmcoord:
 // a stdlib-only front for a fleet of tdmroutd backends, speaking the same
 // HTTP+SSE protocol as a single node so clients cannot tell the difference.
+// It is the second executor of serve.Core: the core answers every request
+// exactly as it does for tdmroutd, and this package decides only how a job
+// runs — placed on a backend, proxied, verified and cached.
 //
 // The coordinator never solves anything itself. A submission is validated
 // locally (serve.ParseSubmit — malformed instances are rejected identically
@@ -39,11 +42,7 @@ package coord
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"net/http"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"tdmroute/internal/serve"
@@ -92,12 +91,6 @@ func (c Config) withDefaults() Config {
 	if c.CacheEntries == 0 {
 		c.CacheEntries = 256
 	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 64 << 20
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 3
 	}
@@ -119,25 +112,15 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Coordinator is the coordinator node. Create it with New, expose Handler
-// over HTTP, and stop it with Shutdown.
+// Coordinator is the coordinator node: the shared serve.Core with an
+// executor that proxies each job to a backend. Create it with New, expose
+// Handler over HTTP, and stop it with Shutdown.
 type Coordinator struct {
+	*serve.Core
 	cfg      Config
-	mux      *http.ServeMux
 	backends []*backend
 	cache    *resultCache
 	metrics  metrics
-
-	// stopc closes when Shutdown begins: probers stop, dispatches wind down.
-	stopc chan struct{}
-	//lint:ignore rawgo dispatch/prober lifecycle accounting, not solver parallelism: Shutdown waits for in-flight proxy work
-	wg       sync.WaitGroup
-	draining atomic.Bool
-	stopOnce sync.Once
-
-	mu     sync.Mutex
-	jobs   map[string]*cjob
-	nextID int
 }
 
 // New starts a coordinator: its per-backend health probers run until
@@ -149,13 +132,8 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	co := &Coordinator{
 		cfg:   cfg,
-		mux:   http.NewServeMux(),
 		cache: newResultCache(cfg.CacheEntries),
-		jobs:  map[string]*cjob{},
-		//lint:ignore rawgo shutdown signal channel, not solver parallelism: closing it stops probers and new dispatches
-		stopc: make(chan struct{}),
 	}
-	co.metrics.init()
 	for _, u := range cfg.Backends {
 		b, err := newBackend(u, cfg)
 		if err != nil {
@@ -163,47 +141,14 @@ func New(cfg Config) (*Coordinator, error) {
 		}
 		co.backends = append(co.backends, b)
 	}
-	co.routes()
+	// The "c" id prefix keeps coordinator ids disjoint from backend "j" ids,
+	// so a log line or a mixed-up client is never ambiguous about the tier.
+	co.Core = serve.NewCore(co, "tdmcoord", "c", cfg.RetryAfter, cfg.MaxBodyBytes, cfg.Logf)
+	co.HandleFunc("GET /v1/backends", co.handleBackends)
 	for _, b := range co.backends {
-		co.wg.Add(1)
-		//lint:ignore rawgo per-backend health prober, not solver parallelism: drives the circuit breaker's open→half-open transitions
-		go co.probe(b)
+		co.Go(func() { co.probe(b) })
 	}
 	return co, nil
-}
-
-// Handler returns the HTTP handler serving the coordinator API.
-func (co *Coordinator) Handler() http.Handler { return co.mux }
-
-// Draining reports whether Shutdown has begun.
-func (co *Coordinator) Draining() bool { return co.draining.Load() }
-
-func (co *Coordinator) logf(format string, args ...any) {
-	if co.cfg.Logf != nil {
-		co.cfg.Logf(format, args...)
-	}
-}
-
-// register tracks a new coordinator job under a fresh id.
-func (co *Coordinator) register(j *cjob) {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	co.nextID++
-	j.id = coordJobID(co.nextID)
-	co.jobs[j.id] = j
-}
-
-func coordJobID(n int) string {
-	// The "c" prefix keeps coordinator ids disjoint from backend "j" ids, so
-	// a log line or a mixed-up client is never ambiguous about the tier.
-	return fmt.Sprintf("c%07d", n)
-}
-
-// lookup finds a coordinator job by id.
-func (co *Coordinator) lookup(id string) *cjob {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	return co.jobs[id]
 }
 
 // live returns the backends currently eligible for placement (breaker not
@@ -222,12 +167,11 @@ func (co *Coordinator) live() []*backend {
 // closed, jittered exponential backoff while it is open, and the
 // open→half-open transition on the first success.
 func (co *Coordinator) probe(b *backend) {
-	defer co.wg.Done()
 	delay := co.cfg.ProbeInterval
 	for {
-		t := time.NewTimer(jitter(delay))
+		t := time.NewTimer(serve.Jitter(delay))
 		select {
-		case <-co.stopc:
+		case <-co.Stopping():
 			t.Stop()
 			return
 		case <-t.C:
@@ -237,16 +181,16 @@ func (co *Coordinator) probe(b *backend) {
 		cancel()
 		if ok {
 			if b.probeSuccess() {
-				co.logf("backend %s: probe ok, breaker half-open", b.name)
+				co.Logf("backend %s: probe ok, breaker half-open", b.name)
 			}
 			delay = co.cfg.ProbeInterval
 			continue
 		}
 		if opened := b.probeFailure(co.cfg.BreakerThreshold); opened {
-			co.logf("backend %s: breaker open (probe: %v)", b.name, err)
+			co.Logf("backend %s: breaker open (probe: %v)", b.name, err)
 		}
 		if b.breakerState() == breakerOpen {
-			delay = backoffStep(co.cfg.ProbeInterval, co.cfg.ProbeBackoffCap, b.consecutiveFails())
+			delay = serve.BackoffStep(co.cfg.ProbeInterval, co.cfg.ProbeBackoffCap, b.consecutiveFails())
 		}
 	}
 }
@@ -255,73 +199,23 @@ func (co *Coordinator) probe(b *backend) {
 // from this point on, in-flight jobs are cancelled on their backends (which
 // finish them with best-so-far incumbents the dispatch loops then collect),
 // and probers stop. It returns once every dispatch goroutine has finished,
-// or with ctx's error if that takes longer than the caller allows.
+// or with ctx's error if that takes longer than the caller allows; the
+// forwarded cancels are bounded by ctx too, so a backend that hangs on
+// DELETE cannot hold the drain past its deadline.
 func (co *Coordinator) Shutdown(ctx context.Context) error {
-	co.draining.Store(true)
-	co.stopOnce.Do(func() { close(co.stopc) })
-	co.mu.Lock()
-	ids := make([]string, 0, len(co.jobs))
-	for id := range co.jobs {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	jobs := make([]*cjob, 0, len(ids))
-	for _, id := range ids {
-		jobs = append(jobs, co.jobs[id])
-	}
-	co.mu.Unlock()
-	for _, j := range jobs {
-		if !j.terminal() {
-			co.cancelJob(context.Background(), j)
+	err := co.Drain(ctx, func(jobs []serve.Job) {
+		for _, j := range jobs {
+			if j := j.(*cjob); !j.State().Terminal() {
+				co.cancelJob(ctx, j)
+			}
 		}
+	})
+	if err != nil {
+		return err
 	}
-	//lint:ignore rawgo shutdown completion signal, not solver parallelism: bridges WaitGroup completion to the caller's context
-	done := make(chan struct{})
-	//lint:ignore rawgo shutdown waiter, not solver parallelism: single goroutine closing the completion channel
-	go func() {
-		co.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-	co.logf("coordinator drained: %s", co.metrics.summary())
+	co.Logf("coordinator drained: %s, cache hits %d, retries %d",
+		co.Summary(), co.metrics.cacheHits.Load(), co.metrics.retries.Load())
 	return nil
-}
-
-// jitter spreads d uniformly over [d/2, 3d/2) so probers and re-dispatches
-// across a fleet of coordinators do not synchronize.
-func jitter(d time.Duration) time.Duration {
-	if d <= 0 {
-		return 0
-	}
-	return d/2 + time.Duration(rand.Int63n(int64(d)))
-}
-
-// backoffStep is base·2^n capped at max.
-func backoffStep(base, max time.Duration, n int) time.Duration {
-	d := base
-	for i := 0; i < n && d < max; i++ {
-		d *= 2
-	}
-	if d > max {
-		d = max
-	}
-	return d
-}
-
-// sleepCtx sleeps for d or until the coordinator stops.
-func (co *Coordinator) sleep(d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-co.stopc:
-		return false
-	}
 }
 
 // unaryCtx derives the bounded context for one unary backend call.
@@ -337,7 +231,7 @@ func (co *Coordinator) cancelJob(ctx context.Context, j *cjob) serve.State {
 		if b := co.backendByName(backendName); b != nil {
 			cctx, cancel := co.unaryCtx(ctx)
 			if err := b.client.Cancel(cctx, remoteID); err != nil {
-				co.logf("job %s: cancel on %s failed: %v", j.id, backendName, err)
+				co.Logf("job %s: cancel on %s failed: %v", j.ID(), backendName, err)
 			}
 			cancel()
 		}

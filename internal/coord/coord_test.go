@@ -434,9 +434,9 @@ func TestCoordinatorCorruptResponse(t *testing.T) {
 	if final2.State != serve.StateFailed {
 		t.Fatalf("job with all backends corrupting: state %s, want failed", final2.State)
 	}
-	j := co.lookup(st2.ID)
-	if j == nil || !errors.Is(j.err, ErrAttemptsExhausted) {
-		t.Fatalf("terminal error %v does not unwrap to ErrAttemptsExhausted", j.err)
+	j, _ := co.Lookup(st2.ID).(*cjob)
+	if j == nil || !errors.Is(j.Err(), ErrAttemptsExhausted) {
+		t.Fatalf("terminal error %v does not unwrap to ErrAttemptsExhausted", j.Err())
 	}
 	if !strings.Contains(final2.Error, "corrupt") {
 		t.Fatalf("terminal error %q does not name the corruption", final2.Error)
@@ -788,9 +788,9 @@ func TestCoordinatorNoBackends(t *testing.T) {
 	if final.State != serve.StateFailed {
 		t.Fatalf("state %s, want failed", final.State)
 	}
-	j := co.lookup(st.ID)
-	if j == nil || !errors.Is(j.err, ErrNoBackends) {
-		t.Fatalf("terminal error %v does not unwrap to ErrNoBackends", j.err)
+	j, _ := co.Lookup(st.ID).(*cjob)
+	if j == nil || !errors.Is(j.Err(), ErrNoBackends) {
+		t.Fatalf("terminal error %v does not unwrap to ErrNoBackends", j.Err())
 	}
 }
 

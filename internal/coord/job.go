@@ -7,7 +7,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"tdmroute"
@@ -40,7 +39,8 @@ var (
 // placement, the coordinator-side event log (re-sequenced across
 // re-dispatches), and the verified terminal result.
 type cjob struct {
-	id      string
+	serve.JobLog
+	co      *Coordinator
 	sub     serve.SubmitRequest
 	key     string
 	created time.Time
@@ -51,97 +51,34 @@ type cjob struct {
 	// baseID is the coordinator id of the base job (deltas only).
 	baseID string
 
-	mu      sync.Mutex
-	state   serve.State
+	// Guarded by JobLog.Mutex.
 	backend string // current backend name; "cache" for cache hits
 	// remoteID is the job's id on the current backend.
 	remoteID string
-	events   []serve.Event
-	// notify is closed and replaced whenever an event is appended;
-	// SSE subscribers re-fetch and re-arm.
-	notify chan struct{}
 	// final is the verified terminal status (coordinator ids, Backend set).
 	final     *serve.JobStatus
 	sol       *tdmroute.Solution
 	solText   []byte
-	err       error
 	cancelled bool
-	attempts  int
 }
 
-func newCJob(sub serve.SubmitRequest) *cjob {
-	return &cjob{
-		sub:     sub,
-		created: time.Now(),
-		state:   serve.StateQueued,
-		//lint:ignore rawgo job event broadcast channel, not solver parallelism: closed to wake SSE subscribers
-		notify: make(chan struct{}),
-	}
-}
-
-// appendEvent re-sequences an event into the coordinator's log and wakes
-// subscribers. Events arriving from a re-dispatched backend have already
-// been prefix-skipped by the caller, so the log is exactly-once.
-func (j *cjob) appendEvent(e serve.Event) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.appendEventLocked(e)
-}
-
-func (j *cjob) appendEventLocked(e serve.Event) {
-	e.Seq = len(j.events)
-	j.events = append(j.events, e)
-	if e.Type == "state" && e.State != "" {
-		j.state = e.State
-	}
-	close(j.notify)
-	//lint:ignore rawgo job event broadcast channel, not solver parallelism: re-armed after each broadcast
-	j.notify = make(chan struct{})
-}
-
-// eventCount returns the number of events already broadcast — the replay
-// prefix a re-dispatched backend's stream must skip.
-func (j *cjob) eventCount() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.events)
-}
-
-// eventsSince mirrors serve's job.eventsSince: a snapshot from the clamped
-// cursor, the wake channel, and stream completion.
-func (j *cjob) eventsSince(seq int) ([]serve.Event, int, <-chan struct{}, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if seq < 0 {
-		seq = 0
-	}
-	if seq > len(j.events) {
-		seq = len(j.events)
-	}
-	evs := append([]serve.Event(nil), j.events[seq:]...)
-	return evs, seq, j.notify, j.state.Terminal() && seq+len(evs) == len(j.events)
+func (co *Coordinator) newJob(sub serve.SubmitRequest) *cjob {
+	return &cjob{co: co, sub: sub, created: time.Now()}
 }
 
 // setPlacement records the job's current backend and remote id.
 func (j *cjob) setPlacement(backend, remoteID string) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+	j.Mutex.Lock()
+	defer j.Mutex.Unlock()
 	j.backend = backend
 	j.remoteID = remoteID
-	j.attempts++
 }
 
 // placement returns the current backend name and remote id.
 func (j *cjob) placement() (string, string) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+	j.Mutex.Lock()
+	defer j.Mutex.Unlock()
 	return j.backend, j.remoteID
-}
-
-func (j *cjob) terminal() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state.Terminal()
 }
 
 // requestCancel marks the job cancelled and returns its state plus the
@@ -149,66 +86,60 @@ func (j *cjob) terminal() bool {
 // does not transition the state here: a running remote job ends with its
 // best-so-far incumbent, which the dispatch loop collects like any result.
 func (j *cjob) requestCancel() (serve.State, string, string) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+	j.Mutex.Lock()
+	defer j.Mutex.Unlock()
 	j.cancelled = true
-	return j.state, j.backend, j.remoteID
+	return j.StateLocked(), j.backend, j.remoteID
 }
 
 func (j *cjob) isCancelled() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+	j.Mutex.Lock()
+	defer j.Mutex.Unlock()
 	return j.cancelled
+}
+
+// Cancel implements DELETE: the cancellation is forwarded to the job's
+// current backend. The forward is bounded by RequestTimeout, not by the
+// DELETE request, so a client that hangs up does not abort it half-way.
+func (j *cjob) Cancel() serve.State {
+	return j.co.cancelJob(context.Background(), j)
 }
 
 // finish records the verified terminal result exactly once and appends the
 // coordinator's own done event (backend done events are filtered out of the
 // proxy stream, so re-dispatch can never leak a premature one).
 func (j *cjob) finish(state serve.State, final *serve.JobStatus, sol *tdmroute.Solution, text []byte, err error) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state.Terminal() {
+	j.Mutex.Lock()
+	defer j.Mutex.Unlock()
+	if !j.FinishLocked(state, err) {
 		return false
 	}
-	j.state = state
 	j.final = final
 	j.sol = sol
 	j.solText = text
-	j.err = err
-	e := serve.Event{Type: "done", State: state}
-	if err != nil {
-		e.Error = err.Error()
-	}
-	j.appendEventLocked(e)
 	return true
 }
 
-// status snapshots the job in wire form. For terminal jobs it is the
+// Status snapshots the job in wire form. For terminal jobs it is the
 // verified backend status re-identified under the coordinator's ids; before
 // that it is built from the coordinator's own bookkeeping.
-func (j *cjob) status() *serve.JobStatus {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+func (j *cjob) Status() *serve.JobStatus {
+	j.Mutex.Lock()
+	defer j.Mutex.Unlock()
 	if j.final != nil {
 		st := *j.final
-		st.ID = j.id
+		j.StatusLocked(&st)
 		st.BaseID = j.baseID
 		st.Backend = j.backend
-		st.Events = len(j.events)
-		if j.err != nil {
-			st.Error = j.err.Error()
-		}
 		return &st
 	}
 	st := &serve.JobStatus{
-		ID:      j.id,
-		State:   j.state,
 		Mode:    j.sub.Mode.String(),
 		BaseID:  j.baseID,
 		Created: j.created,
-		Events:  len(j.events),
 		Backend: j.backend,
 	}
+	j.StatusLocked(st)
 	if j.isDelta {
 		st.Mode = tdmroute.ModeDelta.String()
 	}
@@ -216,17 +147,19 @@ func (j *cjob) status() *serve.JobStatus {
 		st.Bench = j.sub.Instance.Name
 		st.NumEdges = j.sub.Instance.G.NumEdges()
 	}
-	if j.err != nil {
-		st.Error = j.err.Error()
-	}
 	return st
 }
 
-// solution returns the verified terminal solution, or nils.
-func (j *cjob) solution() (*tdmroute.Solution, []byte, *serve.JobStatus) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.sol, j.solText, j.final
+// Solution returns the verified terminal solution and its canonical text,
+// or nils.
+func (j *cjob) Solution() (*tdmroute.Solution, []byte, *tdmroute.Degraded) {
+	j.Mutex.Lock()
+	defer j.Mutex.Unlock()
+	var degraded *tdmroute.Degraded
+	if j.final != nil && j.final.Response != nil {
+		degraded = j.final.Response.Degraded
+	}
+	return j.sol, j.solText, degraded
 }
 
 // dispatch is a job's coordinator-side life: place it, submit it, proxy its
@@ -236,11 +169,10 @@ func (j *cjob) solution() (*tdmroute.Solution, []byte, *serve.JobStatus) {
 // and solution bytes are identical to the lost run's, so the proxy skips the
 // already-broadcast prefix and the client sees one uninterrupted job.
 func (co *Coordinator) dispatch(j *cjob) {
-	defer co.wg.Done()
 	failed := map[string]bool{}
 	var lastErr error
 	for attempt := 0; attempt < co.cfg.MaxAttempts; attempt++ {
-		if j.isCancelled() && j.eventCount() == 0 {
+		if j.isCancelled() && j.Len() == 0 {
 			// Cancelled before any backend made progress: terminal here.
 			co.finishJob(j, serve.StateCanceled, nil, nil, nil, context.Canceled)
 			return
@@ -248,12 +180,12 @@ func (co *Coordinator) dispatch(j *cjob) {
 		b := co.place(j.key, failed)
 		if b == nil {
 			co.finishJob(j, serve.StateFailed, nil, nil, nil,
-				fmt.Errorf("%w (job %s, attempt %d)", ErrNoBackends, j.id, attempt+1))
+				fmt.Errorf("%w (job %s, attempt %d)", ErrNoBackends, j.ID(), attempt+1))
 			return
 		}
 		if attempt > 0 {
 			co.metrics.retries.Add(1)
-			co.logf("job %s: re-dispatching to %s (attempt %d): %v", j.id, b.name, attempt+1, lastErr)
+			co.Logf("job %s: re-dispatching to %s (attempt %d): %v", j.ID(), b.name, attempt+1, lastErr)
 		}
 		remoteID, err := co.submitTo(b, j)
 		if err != nil {
@@ -300,7 +232,6 @@ func (co *Coordinator) submitTo(b *backend, j *cjob) (string, error) {
 // this backend, so losing it is the typed ErrSessionLost, never a silent
 // cold re-solve on another node.
 func (co *Coordinator) runDelta(j *cjob, b *backend) {
-	defer co.wg.Done()
 	_, remoteID := j.placement()
 	if err := co.follow(j, b, remoteID); err != nil {
 		co.observeError(b, err)
@@ -315,7 +246,7 @@ func (co *Coordinator) runDelta(j *cjob, b *backend) {
 // result. A nil return means the job reached a verified terminal state; an
 // error means the backend was lost and the caller decides about re-dispatch.
 func (co *Coordinator) follow(j *cjob, b *backend, remoteID string) error {
-	skip := j.eventCount()
+	skip := j.Len()
 	seen := 0
 	sctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -336,7 +267,7 @@ func (co *Coordinator) follow(j *cjob, b *backend, remoteID string) error {
 			if seen++; seen <= skip {
 				return nil // replayed prefix of a re-dispatched run
 			}
-			j.appendEvent(e)
+			j.Append(e)
 			return nil
 		})
 	}()
@@ -430,11 +361,11 @@ func (co *Coordinator) finishJob(j *cjob, state serve.State, final *serve.JobSta
 	if !j.finish(state, final, sol, text, err) {
 		return
 	}
-	co.metrics.observeOutcome(state, final)
+	co.Observe(state, final != nil && final.Response != nil && final.Response.Degraded != nil)
 	backend, _ := j.placement()
 	if err != nil {
-		co.logf("job %s: %s on %s: %v", j.id, state, backend, err)
+		co.Logf("job %s: %s on %s: %v", j.ID(), state, backend, err)
 	} else {
-		co.logf("job %s: %s on %s", j.id, state, backend)
+		co.Logf("job %s: %s on %s", j.ID(), state, backend)
 	}
 }

@@ -4,61 +4,26 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"strings"
 	"sync"
 	"sync/atomic"
-
-	"tdmroute/internal/serve"
 )
 
-// metrics aggregates the coordinator's own counters. Everything here is an
-// atomic or guarded by the outcome mutex; rendering happens into an
-// in-memory buffer (mutexhold: the socket write never holds a lock).
+// metrics holds the coordinator's own counters; the admission and outcome
+// counters live in the serve.Core.
 type metrics struct {
-	accepted       atomic.Int64
-	submitRejected atomic.Int64
-	cacheHits      atomic.Int64
-	cacheMisses    atomic.Int64
-	retries        atomic.Int64
-	corrupt        atomic.Int64
-
-	mu       sync.Mutex
-	outcomes map[serve.State]int64
+	cacheHits   atomic.Int64
+	cacheMisses atomic.Int64
+	retries     atomic.Int64
+	corrupt     atomic.Int64
 }
 
-func (m *metrics) init() {
-	m.outcomes = map[serve.State]int64{}
-}
-
-func (m *metrics) observeOutcome(state serve.State, final *serve.JobStatus) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	key := state
-	if state == serve.StateDone && final != nil && final.Response != nil && final.Response.Degraded != nil {
-		key = "degraded"
-	}
-	m.outcomes[key]++
-}
-
-func (m *metrics) summary() string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return fmt.Sprintf("accepted %d, cache hits %d, retries %d, outcomes %v",
-		m.accepted.Load(), m.cacheHits.Load(), m.retries.Load(), m.outcomes)
-}
-
-// outcomeOrder fixes the exposition order of the outcome counters.
-var outcomeOrder = []serve.State{
-	serve.StateDone, "degraded", serve.StateCanceled, serve.StateFailed, serve.StateRejected,
-}
-
-// writeMetrics renders the coordinator exposition: its own counters, the
+// WriteMetrics renders the coordinator exposition: its own counters, the
 // per-backend breaker gauges, and — for every backend that answers within
 // the unary budget — that backend's full /metrics text with a
 // backend="host:port" label injected into every sample, so one scrape of the
 // coordinator sees the whole fleet.
-func (co *Coordinator) writeMetrics(w io.Writer) {
+func (co *Coordinator) WriteMetrics(buf *bytes.Buffer) {
 	// Fetch the backend expositions before rendering: network IO happens
 	// with no coordinator lock held.
 	type bm struct {
@@ -89,40 +54,35 @@ func (co *Coordinator) writeMetrics(w io.Writer) {
 	}
 	wg.Wait()
 
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "# tdmcoord metrics\n")
-	fmt.Fprintf(&buf, "tdmcoord_up 1\n")
-	fmt.Fprintf(&buf, "tdmcoord_draining %d\n", boolInt(co.draining.Load()))
-	fmt.Fprintf(&buf, "tdmcoord_backends %d\n", len(co.backends))
-	fmt.Fprintf(&buf, "tdmcoord_backends_live %d\n", len(co.live()))
-	fmt.Fprintf(&buf, "tdmcoord_jobs_accepted_total %d\n", co.metrics.accepted.Load())
-	fmt.Fprintf(&buf, "tdmcoord_submit_rejected_total %d\n", co.metrics.submitRejected.Load())
-	fmt.Fprintf(&buf, "tdmcoord_cache_hits_total %d\n", co.metrics.cacheHits.Load())
-	fmt.Fprintf(&buf, "tdmcoord_cache_misses_total %d\n", co.metrics.cacheMisses.Load())
+	co.WriteHead(buf)
+	fmt.Fprintf(buf, "tdmcoord_backends %d\n", len(co.backends))
+	fmt.Fprintf(buf, "tdmcoord_backends_live %d\n", len(co.live()))
+	co.WriteAdmissions(buf)
+	fmt.Fprintf(buf, "tdmcoord_cache_hits_total %d\n", co.metrics.cacheHits.Load())
+	fmt.Fprintf(buf, "tdmcoord_cache_misses_total %d\n", co.metrics.cacheMisses.Load())
 	size, evicted := co.cache.stats()
-	fmt.Fprintf(&buf, "tdmcoord_cache_entries %d\n", size)
-	fmt.Fprintf(&buf, "tdmcoord_cache_evictions_total %d\n", evicted)
-	fmt.Fprintf(&buf, "tdmcoord_retries_total %d\n", co.metrics.retries.Load())
-	fmt.Fprintf(&buf, "tdmcoord_corrupt_responses_total %d\n", co.metrics.corrupt.Load())
+	fmt.Fprintf(buf, "tdmcoord_cache_entries %d\n", size)
+	fmt.Fprintf(buf, "tdmcoord_cache_evictions_total %d\n", evicted)
+	fmt.Fprintf(buf, "tdmcoord_retries_total %d\n", co.metrics.retries.Load())
+	fmt.Fprintf(buf, "tdmcoord_corrupt_responses_total %d\n", co.metrics.corrupt.Load())
 	for _, b := range co.backends {
 		st := b.breakerState()
-		fmt.Fprintf(&buf, "tdmcoord_backend_breaker{backend=%q,state=%q} 1\n", b.name, st.String())
-		fmt.Fprintf(&buf, "tdmcoord_backend_up{backend=%q} %d\n", b.name, boolInt(st != breakerOpen))
-		fmt.Fprintf(&buf, "tdmcoord_backend_failures_total{backend=%q} %d\n", b.name, b.failures.Load())
-		fmt.Fprintf(&buf, "tdmcoord_backend_breaker_opens_total{backend=%q} %d\n", b.name, b.opens.Load())
+		up := 0
+		if st != breakerOpen {
+			up = 1
+		}
+		fmt.Fprintf(buf, "tdmcoord_backend_breaker{backend=%q,state=%q} 1\n", b.name, st.String())
+		fmt.Fprintf(buf, "tdmcoord_backend_up{backend=%q} %d\n", b.name, up)
+		fmt.Fprintf(buf, "tdmcoord_backend_failures_total{backend=%q} %d\n", b.name, b.failures.Load())
+		fmt.Fprintf(buf, "tdmcoord_backend_breaker_opens_total{backend=%q} %d\n", b.name, b.opens.Load())
 	}
-	co.metrics.mu.Lock()
-	for _, o := range outcomeOrder {
-		fmt.Fprintf(&buf, "tdmcoord_jobs_total{outcome=%q} %d\n", string(o), co.metrics.outcomes[o])
-	}
-	co.metrics.mu.Unlock()
+	co.WriteOutcomes(buf)
 	for _, f := range fetched {
 		if f.text == "" {
 			continue
 		}
-		injectBackendLabel(&buf, f.text, f.name)
+		injectBackendLabel(buf, f.text, f.name)
 	}
-	w.Write(buf.Bytes())
 }
 
 // injectBackendLabel re-emits one backend's text exposition with a
@@ -146,11 +106,4 @@ func injectBackendLabel(buf *bytes.Buffer, text, name string) {
 			fmt.Fprintf(buf, "%s{backend=%q} %s\n", metric, name, value)
 		}
 	}
-}
-
-func boolInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }

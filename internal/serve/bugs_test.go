@@ -5,6 +5,8 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -17,24 +19,24 @@ import (
 // buffer that truncated ids above 9,999,999 to their low seven digits,
 // colliding with earlier jobs.
 func TestJobIDWidensBeyondPadding(t *testing.T) {
-	if got := jobID(1); got != "j0000001" {
+	if got := jobID("j", 1); got != "j0000001" {
 		t.Errorf("jobID(1) = %q, want j0000001", got)
 	}
-	if got := jobID(9_999_999); got != "j9999999" {
+	if got := jobID("j", 9_999_999); got != "j9999999" {
 		t.Errorf("jobID(9999999) = %q, want j9999999", got)
 	}
-	if got := jobID(10_000_000); got != "j10000000" {
+	if got := jobID("j", 10_000_000); got != "j10000000" {
 		t.Errorf("jobID(10000000) = %q, want j10000000", got)
 	}
 	// The old truncation mapped these pairs to the same id.
 	collisions := [][2]int{{10_000_000, 0}, {10_000_001, 1}, {12_345_678, 2_345_678}}
 	for _, c := range collisions {
-		if a, b := jobID(c[0]), jobID(c[1]); a == b {
+		if a, b := jobID("j", c[0]), jobID("j", c[1]); a == b {
 			t.Errorf("jobID(%d) and jobID(%d) collide on %q", c[0], c[1], a)
 		}
 	}
 	// Lexical order still matches submission order in the padded range.
-	if jobID(12) >= jobID(345) {
+	if jobID("j", 12) >= jobID("j", 345) {
 		t.Error("padded ids lost lexical ordering")
 	}
 }
@@ -51,9 +53,9 @@ func TestRunJobObservesDrain(t *testing.T) {
 	req := tdmroute.Request{Instance: in, Options: tdmroute.Options{
 		TDM: tdmroute.TDMOptions{Epsilon: 1e-12, MaxIter: 2_000_000},
 	}}
-	j, ok := s.submit(req, 0, nil)
-	if !ok {
-		t.Fatal("submit failed")
+	j, err := s.submit(req, 0, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 	// The "worker" dequeues the job...
 	jj := <-s.queue
@@ -66,13 +68,13 @@ func TestRunJobObservesDrain(t *testing.T) {
 	if err := s.Shutdown(dctx); err != nil {
 		t.Fatal(err)
 	}
-	if st := j.currentState(); st != StateQueued {
+	if st := j.State(); st != StateQueued {
 		t.Fatalf("job state after drain = %s, want still queued (the race window)", st)
 	}
 	// The worker proceeds. An un-cancelled 2M-iteration solve would hang
 	// the test; the drain check degrades it immediately.
 	s.runJob(j)
-	st := j.currentState()
+	st := j.State()
 	if !st.Terminal() {
 		t.Fatalf("job state after runJob = %s, want terminal", st)
 	}
@@ -97,12 +99,18 @@ func TestFinishJobKeepsIncumbent(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := New(Config{Workers: -1})
-	j := newJob(jobID(1), tdmroute.Request{Instance: in, Mode: tdmroute.ModeIterative}, 0)
-	j.begin(func() {})
+	j, err := s.submit(tdmroute.Request{Instance: in, Mode: tdmroute.ModeIterative}, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-s.queue
+	if !j.begin(func() {}) {
+		t.Fatal("begin refused a queued job")
+	}
 	boom := errors.New("injected: round 2 reroute failed")
 	s.finishJob(j, resp, boom)
 
-	st := j.status()
+	st := j.Status()
 	if st.State != StateDone {
 		t.Fatalf("state = %s, want done (the incumbent is legal)", st.State)
 	}
@@ -118,10 +126,7 @@ func TestFinishJobKeepsIncumbent(t *testing.T) {
 	if !strings.Contains(st.Error, "injected") {
 		t.Fatalf("job error %q does not carry the failure", st.Error)
 	}
-	s.metrics.mu.Lock()
-	degraded := s.metrics.outcomes[outcomeDegraded]
-	s.metrics.mu.Unlock()
-	if degraded != 1 {
+	if degraded := s.outcomes[slices.Index(outcomeNames[:], "degraded")].Load(); degraded != 1 {
 		t.Fatalf("degraded outcome count = %d, want 1", degraded)
 	}
 }
@@ -195,10 +200,14 @@ func TestEventsResume(t *testing.T) {
 // blockingWriter stalls every Write until released, modeling a slow metrics
 // scraper on the far end of an http.ResponseWriter.
 type blockingWriter struct {
+	header  http.Header
 	entered sync.Once
 	in      chan struct{} // closed when the first Write has begun
 	release chan struct{} // Writes return once this is closed
 }
+
+func (w *blockingWriter) Header() http.Header { return w.header }
+func (w *blockingWriter) WriteHeader(int)     {}
 
 func (w *blockingWriter) Write(p []byte) (int, error) {
 	w.entered.Do(func() { close(w.in) })
@@ -207,30 +216,32 @@ func (w *blockingWriter) Write(p []byte) (int, error) {
 }
 
 // TestMetricsWriteReleasesLockBeforeSocket is the regression test for the
-// exposition writer that held m.mu across fmt.Fprintf calls aimed at the
-// HTTP response socket: one slow scraper would stall every worker calling
-// observe. The fixed write renders into a buffer under the lock and touches
-// the writer only after releasing it, so observe must complete while the
-// scraper is still stalled mid-Write.
+// exposition writer that held the metrics mutex across fmt.Fprintf calls
+// aimed at the HTTP response socket: one slow scraper would stall every
+// worker recording a finished job. The exposition renders into a buffer
+// under the locks and touches the socket only after releasing them, so
+// recording a finished job must complete while the scraper is still
+// stalled mid-Write.
 func TestMetricsWriteReleasesLockBeforeSocket(t *testing.T) {
-	var m metrics
-	m.init()
-	bw := &blockingWriter{in: make(chan struct{}), release: make(chan struct{})}
+	s := New(Config{Workers: -1})
+	bw := &blockingWriter{header: http.Header{}, in: make(chan struct{}), release: make(chan struct{})}
 	done := make(chan struct{})
 	go func() {
-		m.write(bw, 0, 8, 0, 2, 0, false)
+		s.Handler().ServeHTTP(bw, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 		close(done)
 	}()
 	<-bw.in
 	observed := make(chan struct{})
 	go func() {
-		m.observe(outcomeDone, nil)
+		s.Observe(StateDone, false)
+		s.metrics.observe(&tdmroute.Response{})
+		s.Lookup("j0000001")
 		close(observed)
 	}()
 	select {
 	case <-observed:
 	case <-time.After(5 * time.Second):
-		t.Fatal("observe blocked behind a stalled metrics scraper: m.mu is held across the socket write")
+		t.Fatal("recording a finished job blocked behind a stalled metrics scraper: a lock is held across the socket write")
 	}
 	close(bw.release)
 	<-done

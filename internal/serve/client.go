@@ -351,9 +351,9 @@ const (
 	waitMaxPollFails  = 5
 )
 
-// jitter spreads d uniformly over [d/2, 3d/2) so a fleet of reconnecting
-// clients does not thunder back in lockstep.
-func jitter(d time.Duration) time.Duration {
+// Jitter spreads d uniformly over [d/2, 3d/2) so a fleet of reconnecting
+// clients, or of probing coordinators, does not thunder back in lockstep.
+func Jitter(d time.Duration) time.Duration {
 	if d <= 0 {
 		return 0
 	}
@@ -380,17 +380,17 @@ type transientError struct{ err error }
 func (e *transientError) Error() string { return e.err.Error() }
 func (e *transientError) Unwrap() error { return e.err }
 
-// StreamFrom runs one SSE connection, resuming after event next-1 via
+// streamFrom runs one SSE connection, resuming after event next-1 via
 // Last-Event-ID, and invokes fn for every event with Seq >= next (the
 // dedupe makes redelivery by a replaying server harmless). It returns the
 // next cursor, whether the terminal "done" event was seen, and the error
 // that ended the attempt; a dropped connection or a stream that ends before
 // the job does comes back as a transient error (Stream reconnects on those),
 // while non-2xx responses are *APIError and fn errors are returned bare.
-// It is the single-connection primitive beneath Stream, exported for
-// callers — the coordinator's re-dispatch loop — that manage their own
-// resume cursor across backends.
-func (c *Client) StreamFrom(ctx context.Context, id string, next int, fn func(Event) error) (int, bool, error) {
+// It is the single-connection primitive beneath Stream. (The coordinator
+// follows a re-dispatched job with Stream too, skipping the replayed prefix
+// by count.)
+func (c *Client) streamFrom(ctx context.Context, id string, next int, fn func(Event) error) (int, bool, error) {
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/jobs/"+id+"/events", nil)
 	if err != nil {
 		return next, false, err
@@ -455,7 +455,7 @@ func (c *Client) Stream(ctx context.Context, id string, fn func(Event) error) er
 	fails := 0
 	var lastErr error
 	for {
-		n, done, err := c.StreamFrom(ctx, id, next, fn)
+		n, done, err := c.streamFrom(ctx, id, next, fn)
 		if done {
 			return nil
 		}
@@ -475,14 +475,14 @@ func (c *Client) Stream(ctx context.Context, id string, fn func(Event) error) er
 		if fails >= streamMaxAttempts {
 			return fmt.Errorf("serve: stream %s: giving up after %d reconnects without progress: %w", id, fails, lastErr)
 		}
-		if err := sleepCtx(ctx, jitter(backoffStep(streamBackoffBase, streamBackoffCap, fails-1))); err != nil {
+		if err := sleepCtx(ctx, Jitter(BackoffStep(streamBackoffBase, streamBackoffCap, fails-1))); err != nil {
 			return err
 		}
 	}
 }
 
-// backoffStep is base·2^n capped at max.
-func backoffStep(base, max time.Duration, n int) time.Duration {
+// BackoffStep is base·2^n capped at max.
+func BackoffStep(base, max time.Duration, n int) time.Duration {
 	d := base
 	for i := 0; i < n && d < max; i++ {
 		d *= 2
@@ -528,7 +528,7 @@ func (c *Client) Wait(ctx context.Context, id string) (*JobStatus, error) {
 					id, fails, streamErr, err)
 			}
 		}
-		if err := sleepCtx(ctx, jitter(delay)); err != nil {
+		if err := sleepCtx(ctx, Jitter(delay)); err != nil {
 			return nil, err
 		}
 		if delay *= 2; delay > waitPollCap {

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"net/http"
 	"time"
 
@@ -56,52 +55,20 @@ func (d *DeltaDoc) toDelta() *tdmroute.Delta {
 	return out
 }
 
-// handleDelta implements POST /v1/jobs/{id}/delta: acquire the base job's
-// warm session exclusively, queue a ModeDelta job over it, and release (or,
-// after a poisoning failure, drop) the session when the job is terminal.
-// Status codes spell out why a delta cannot run: 404 for an unknown base
-// job, 409 while the base is unfinished or another delta holds the session,
-// 410 when the session is gone (not retained, evicted, or dropped).
-func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		s.metrics.submitRejected.Add(1)
-		s.unavailable(w, "server is draining")
-		return
-	}
-	base := s.jobFor(w, r)
-	if base == nil {
-		return
-	}
-	if st := base.currentState(); !st.Terminal() {
-		httpError(w, http.StatusConflict, "base job %s is %s; deltas target finished jobs", base.id, st)
-		return
-	}
-
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	var doc DeltaDoc
-	if err := json.NewDecoder(r.Body).Decode(&doc); err != nil {
-		httpError(w, http.StatusBadRequest, "bad delta body: %v", err)
-		return
-	}
-	var deadline time.Duration
-	if v := r.URL.Query().Get("deadline"); v != "" {
-		d, err := time.ParseDuration(v)
-		if err != nil || d < 0 {
-			httpError(w, http.StatusBadRequest, "bad deadline %q", v)
-			return
-		}
-		deadline = d
-	}
-
-	h, found, busy := s.warm.acquire(base.id)
+// Delta queues a ModeDelta job over base's warm session, held exclusively
+// until the job is terminal and then released (or, after a poisoning
+// failure, dropped). It refuses with 409 while another delta holds the
+// session and 410 when the session is gone (never retained, evicted, or
+// dropped).
+func (s *Server) Delta(base Job, doc DeltaDoc, deadline time.Duration) (Job, error) {
+	baseID := base.jobLog().id
+	h, found, busy := s.warm.acquire(baseID)
 	if busy {
 		s.metrics.warmConflict.Add(1)
-		httpError(w, http.StatusConflict, "another delta is running on job %s's warm session", base.id)
-		return
+		return nil, Errorf(http.StatusConflict, "another delta is running on job %s's warm session", baseID)
 	}
 	if !found {
-		httpError(w, http.StatusGone, "job %s has no warm session (submit with retain=1; sessions can be evicted or dropped)", base.id)
-		return
+		return nil, Errorf(http.StatusGone, "job %s has no warm session (submit with retain=1; sessions can be evicted or dropped)", baseID)
 	}
 
 	req := tdmroute.Request{
@@ -111,8 +78,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		Delta:    doc.toDelta(),
 		Options:  s.cfg.SolveOptions,
 	}
-	baseID := base.id
-	j, ok := s.submit(req, deadline, func(j *job) {
+	j, err := s.submit(req, deadline, func(j *job) {
 		j.baseID = baseID
 		j.onFinish = func() {
 			if h.Err() != nil {
@@ -120,23 +86,15 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 				// topology to offer, so it is dropped rather than reused.
 				s.warm.drop(baseID)
 				s.metrics.warmDropped.Add(1)
-				s.logf("job %s: warm session of %s dropped: %v", j.id, baseID, h.Err())
+				s.Logf("job %s: warm session of %s dropped: %v", j.id, baseID, h.Err())
 			} else {
 				s.warm.release(baseID)
 			}
 		}
 	})
-	if !ok {
+	if err != nil {
 		s.warm.release(baseID)
-		if s.draining.Load() {
-			s.unavailable(w, "server is draining")
-		} else {
-			s.unavailable(w, "job queue is full")
-		}
-		return
+		return nil, err
 	}
-	w.Header().Set("Location", "/v1/jobs/"+j.id)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusAccepted)
-	json.NewEncoder(w).Encode(s.statusOf(j))
+	return j, nil
 }

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"mime"
@@ -14,67 +13,11 @@ import (
 	"tdmroute/internal/problem"
 )
 
-func (s *Server) routes() {
-	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
-	s.mux.HandleFunc("POST /v1/jobs/{id}/delta", s.handleDelta)
-	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleStatus)
-	s.mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
-	s.mux.HandleFunc("GET /v1/jobs/{id}/solution", s.handleSolution)
-	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-}
-
-// httpError writes a JSON error body alongside the status code.
-func httpError(w http.ResponseWriter, code int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-func (s *Server) unavailable(w http.ResponseWriter, reason string) {
-	w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.RetryAfter.Round(time.Second)/time.Second)))
-	httpError(w, http.StatusServiceUnavailable, "%s", reason)
-}
-
-// handleSubmit accepts an instance — contest text (text/plain, the
-// default), JSON (application/json), binary (application/octet-stream), or
-// a multipart/form-data body whose "instance" part is any of those and
-// whose "routing" part fixes the topology for assign mode — and queues one
-// solve configured by the query parameters: mode, rounds, deadline, name,
-// epsilon, maxiter, ripup, workers, pow2, partitions, retain.
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		s.metrics.submitRejected.Add(1)
-		s.unavailable(w, "server is draining")
-		return
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	sub, err := ParseSubmit(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	req, deadline := s.resolve(sub)
-	j, ok := s.submit(req, deadline, nil)
-	if !ok {
-		if s.draining.Load() {
-			s.unavailable(w, "server is draining")
-		} else {
-			s.unavailable(w, "job queue is full")
-		}
-		return
-	}
-	w.Header().Set("Location", "/v1/jobs/"+j.id)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusAccepted)
-	json.NewEncoder(w).Encode(s.statusOf(j))
-}
-
 // ParseSubmit decodes a POST /v1/jobs submission — the body in any of the
 // three instance formats, or multipart/form-data with an optional routing
-// part; the solver knobs in the query string — into the wire-level
-// SubmitRequest. It is shared between the server (which resolves the knobs
+// part; the solver knobs in the query string (mode, rounds, deadline, name,
+// epsilon, maxiter, ripup, workers, pow2, partitions, retain) — into the
+// wire-level SubmitRequest. It is shared between the server (which resolves the knobs
 // against its own solver defaults) and the coordinator (which forwards the
 // request to a backend verbatim); the instance and routing are validated
 // here so both tiers reject malformed submissions identically.
@@ -262,126 +205,13 @@ func parseMultipart(r *http.Request, name string) (*tdmroute.Instance, []byte, e
 	return in, routing, nil
 }
 
-// statusOf snapshots a job and enriches it with node-resident state the job
-// itself does not know: whether its warm session is still retained here.
-func (s *Server) statusOf(j *job) *JobStatus {
-	st := j.status()
-	st.Retained = s.warm.has(j.id)
-	return st
-}
-
-func (s *Server) jobFor(w http.ResponseWriter, r *http.Request) *job {
-	j := s.lookup(r.PathValue("id"))
-	if j == nil {
-		httpError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
-	}
-	return j
-}
-
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	j := s.jobFor(w, r)
-	if j == nil {
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(s.statusOf(j))
-}
-
-func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j := s.jobFor(w, r)
-	if j == nil {
-		return
-	}
-	state := s.cancelJob(j)
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{"id": j.id, "state": state})
-}
-
-// handleEvents streams the job's progress as Server-Sent Events: recorded
-// events from the resume cursor on are replayed, then live events follow
-// until the job is terminal (the final event has type "done") or the client
-// goes away. A reconnecting client resumes after the Last-Event-ID it saw;
-// a cursor beyond the log is clamped to its end (the stream follows the
-// live tail) instead of hanging the subscriber forever.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j := s.jobFor(w, r)
-	if j == nil {
-		return
-	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		httpError(w, http.StatusInternalServerError, "streaming unsupported")
-		return
-	}
-	next := 0
-	if v := r.Header.Get("Last-Event-ID"); v != "" {
-		id, err := strconv.Atoi(v)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "bad Last-Event-ID %q", v)
-			return
-		}
-		next = id + 1
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	fl.Flush()
-	for {
-		evs, from, notify, terminal := j.eventsSince(next)
-		for _, e := range evs {
-			data, err := json.Marshal(e)
-			if err != nil {
-				return
-			}
-			fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", e.Seq, e.Type, data)
-		}
-		next = from + len(evs)
-		if len(evs) > 0 {
-			fl.Flush()
-		}
-		if terminal {
-			return
-		}
-		select {
-		case <-notify:
-		case <-r.Context().Done():
-			return
-		}
-	}
-}
-
-// handleSolution serves the finished job's solution in the format named by
-// ?format= (text, the default; json; binary). Degraded solutions are legal
-// best-so-far incumbents and carry an X-Tdmroute-Degraded header naming the
-// interrupted stage.
-func (s *Server) handleSolution(w http.ResponseWriter, r *http.Request) {
-	j := s.jobFor(w, r)
-	if j == nil {
-		return
-	}
-	state := j.currentState()
-	if !state.Terminal() {
-		httpError(w, http.StatusConflict, "job %s is %s; no solution yet", j.id, state)
-		return
-	}
-	sol, degraded := j.solution()
-	if sol == nil {
-		httpError(w, http.StatusConflict, "job %s is %s and produced no solution", j.id, state)
-		return
-	}
-	if degraded != nil {
-		w.Header().Set("X-Tdmroute-Degraded", string(degraded.Stage))
-	}
-	WriteSolutionResponse(w, r.URL.Query().Get("format"), sol, nil)
-}
-
-// WriteSolutionResponse renders a finished solution in the format named by
+// writeSolution renders a finished solution in the format named by
 // ?format= (text, the default; json; binary). When text is non-nil it holds
 // the canonical text serialization already in hand, and the text format
 // serves those bytes verbatim — the coordinator uses this to return the
 // exact bytes its digest check verified, which is what makes its replay
 // guarantee byte-level rather than merely semantic.
-func WriteSolutionResponse(w http.ResponseWriter, format string, sol *tdmroute.Solution, text []byte) {
+func writeSolution(w http.ResponseWriter, format string, sol *tdmroute.Solution, text []byte) {
 	var buf bytes.Buffer
 	var err error
 	switch format {
@@ -407,26 +237,4 @@ func WriteSolutionResponse(w http.ResponseWriter, format string, sol *tdmroute.S
 		return
 	}
 	w.Write(buf.Bytes())
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	running := 0
-	for _, j := range s.jobs {
-		if j.currentState() == StateRunning {
-			running++
-		}
-	}
-	s.mu.Unlock()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.metrics.write(w, len(s.queue), cap(s.queue), running, s.cfg.Workers, s.warm.size(), s.draining.Load())
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if s.draining.Load() {
-		fmt.Fprintln(w, "draining")
-		return
-	}
-	fmt.Fprintln(w, "ok")
 }

@@ -93,9 +93,122 @@ type JobStatus struct {
 	Telemetry *exp.PerfRow `json:"telemetry,omitempty"`
 }
 
-// job is one submitted solve tracked by the server.
+// JobLog is the part of a job both tiers keep the same way: its id, its
+// lifecycle state, its replayable progress-event log and its terminal
+// error. The embedded mutex also guards the fields each tier's job type
+// keeps beside the log, so nobody can see a terminal state without the
+// result that goes with it. Lock it as x.Mutex.Lock(), which is the form
+// the mutexhold analyzer follows.
+type JobLog struct {
+	sync.Mutex
+	id     string
+	state  State
+	events []Event
+	// notify is closed when an event is appended; a subscriber that found
+	// nothing new waits on it, then re-fetches. It is made on demand.
+	notify chan struct{}
+	err    error
+}
+
+func (l *JobLog) jobLog() *JobLog { return l }
+
+// ID is the job's id on its tier, fixed when the job is registered.
+func (l *JobLog) ID() string { return l.id }
+
+// State returns the job's lifecycle state.
+func (l *JobLog) State() State {
+	l.Mutex.Lock()
+	defer l.Mutex.Unlock()
+	return l.state
+}
+
+// StateLocked is State for a caller that holds the lock.
+func (l *JobLog) StateLocked() State { return l.state }
+
+// Err returns the error the job ended with, if any.
+func (l *JobLog) Err() error {
+	l.Mutex.Lock()
+	defer l.Mutex.Unlock()
+	return l.err
+}
+
+// Len returns the number of events recorded so far.
+func (l *JobLog) Len() int {
+	l.Mutex.Lock()
+	defer l.Mutex.Unlock()
+	return len(l.events)
+}
+
+// Append records e at the end of the log and wakes subscribers.
+func (l *JobLog) Append(e Event) {
+	l.Mutex.Lock()
+	defer l.Mutex.Unlock()
+	l.appendLocked(e)
+}
+
+// appendLocked sequences e, moves the state when e carries one, and wakes
+// subscribers.
+func (l *JobLog) appendLocked(e Event) {
+	e.Seq = len(l.events)
+	l.events = append(l.events, e)
+	if e.State != "" {
+		l.state = e.State
+	}
+	if l.notify != nil {
+		close(l.notify)
+		l.notify = nil
+	}
+}
+
+// FinishLocked moves the job to the terminal state and appends its "done"
+// event, once: it returns false when the job is already terminal. The
+// caller holds the lock and records its own result fields in the same
+// region.
+func (l *JobLog) FinishLocked(state State, err error) bool {
+	if l.state.Terminal() {
+		return false
+	}
+	l.err = err
+	e := Event{Type: "done", State: state}
+	if err != nil {
+		e.Error = err.Error()
+	}
+	l.appendLocked(e)
+	return true
+}
+
+// StatusLocked fills the fields of st the log owns: ID, State, Events and,
+// for a job that ended with an error, Error. The caller holds the lock.
+func (l *JobLog) StatusLocked(st *JobStatus) {
+	st.ID, st.State, st.Events = l.id, l.state, len(l.events)
+	if l.err != nil {
+		st.Error = l.err.Error()
+	}
+}
+
+// since returns a copy of the events from seq on, the clamped position
+// actually used, the channel that will be closed when more arrive, and
+// whether the stream is complete (the job is terminal and every event has
+// been handed out). seq is clamped to [0, len(events)]: a resume cursor
+// beyond the log (a bogus Last-Event-ID) replays nothing and follows the
+// live tail instead of parking the subscriber forever on a completion
+// condition it can never satisfy.
+func (l *JobLog) since(seq int) ([]Event, int, <-chan struct{}, bool) {
+	l.Mutex.Lock()
+	defer l.Mutex.Unlock()
+	seq = min(max(seq, 0), len(l.events))
+	evs := append([]Event(nil), l.events[seq:]...)
+	if l.notify == nil {
+		//lint:ignore rawgo job event broadcast channel, not solver parallelism: closed to wake SSE subscribers
+		l.notify = make(chan struct{})
+	}
+	return evs, seq, l.notify, l.state.Terminal() && seq+len(evs) == len(l.events)
+}
+
+// job is one solve this server runs itself.
 type job struct {
-	id       string
+	JobLog
+	srv      *Server
 	req      tdmroute.Request
 	deadline time.Duration
 	numEdges int
@@ -107,96 +220,74 @@ type job struct {
 	// drain). Delta jobs use it to release or drop their warm session.
 	onFinish func()
 
-	mu       sync.Mutex
-	state    State
+	// Guarded by JobLog.Mutex.
 	cancelFn context.CancelFunc // set while running
 	resp     *tdmroute.Response
-	err      error
 	row      *exp.PerfRow
 	started  time.Time
 	finished time.Time
-	events   []Event
-	// notify is closed and replaced whenever an event is appended;
-	// subscribers re-fetch and re-arm.
-	notify chan struct{}
 }
 
-func newJob(id string, req tdmroute.Request, deadline time.Duration) *job {
+func newJob(s *Server, req tdmroute.Request, deadline time.Duration) *job {
 	return &job{
-		id:       id,
+		srv:      s,
 		req:      req,
 		deadline: deadline,
 		numEdges: req.Instance.G.NumEdges(),
 		created:  time.Now(),
-		state:    StateQueued,
-		//lint:ignore rawgo job event broadcast channel, not solver parallelism: closed to wake SSE subscribers
-		notify: make(chan struct{}),
 	}
-}
-
-// appendEventLocked records an event and wakes subscribers; j.mu held.
-func (j *job) appendEventLocked(e Event) {
-	e.Seq = len(j.events)
-	j.events = append(j.events, e)
-	close(j.notify)
-	//lint:ignore rawgo job event broadcast channel, not solver parallelism: re-armed after each broadcast
-	j.notify = make(chan struct{})
 }
 
 // begin transitions queued→running and installs the cancel function. It
 // returns false when the job is no longer queued (cancelled or rejected
 // while waiting); the worker must then drop it without running.
 func (j *job) begin(cancel context.CancelFunc) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+	j.Mutex.Lock()
+	defer j.Mutex.Unlock()
 	if j.state != StateQueued {
 		return false
 	}
-	j.state = StateRunning
 	j.cancelFn = cancel
 	j.started = time.Now()
-	j.appendEventLocked(Event{Type: "state", State: StateRunning})
+	j.appendLocked(Event{Type: "state", State: StateRunning})
 	return true
 }
 
 // progress records one solver progress event.
 func (j *job) progress(p tdmroute.Progress) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	switch p.Kind {
 	case tdmroute.ProgressRound:
-		j.appendEventLocked(Event{Type: "round", Round: p.Round + 1})
+		j.Append(Event{Type: "round", Round: p.Round + 1})
 	default:
-		j.appendEventLocked(Event{Type: "lr", Round: p.Round, Iter: p.Iter, Z: p.Z, LB: p.LB})
+		j.Append(Event{Type: "lr", Round: p.Round, Iter: p.Iter, Z: p.Z, LB: p.LB})
 	}
 }
 
 // finish records the terminal state. It is a no-op when the job already
 // reached one (a queued job cancelled by DELETE and later swept by drain).
 func (j *job) finish(state State, resp *tdmroute.Response, err error, row *exp.PerfRow) bool {
-	j.mu.Lock()
-	if j.state.Terminal() {
-		j.mu.Unlock()
-		return false
-	}
-	j.state = state
-	j.resp = resp
-	j.err = err
-	j.row = row
-	j.cancelFn = nil
-	j.finished = time.Now()
-	e := Event{Type: "done", State: state}
-	if err != nil {
-		e.Error = err.Error()
-	}
-	j.appendEventLocked(e)
-	hook := j.onFinish
-	j.onFinish = nil
-	j.mu.Unlock()
+	j.Mutex.Lock()
+	hook, ok := j.finishLocked(state, resp, err, row)
+	j.Mutex.Unlock()
 	if hook != nil {
 		hook()
 	}
-	return true
+	return ok
+}
+
+// finishLocked records the terminal state under the held lock and hands
+// back the finish hook, which the caller runs after unlocking.
+func (j *job) finishLocked(state State, resp *tdmroute.Response, err error, row *exp.PerfRow) (func(), bool) {
+	if !j.FinishLocked(state, err) {
+		return nil, false
+	}
+	j.resp = resp
+	j.row = row
+	j.cancelFn = nil
+	j.finished = time.Now()
+	hook := j.onFinish
+	j.onFinish = nil
+	return hook, true
 }
 
 // requestCancel implements DELETE: a queued job transitions to canceled
@@ -205,76 +296,51 @@ func (j *job) finish(state State, resp *tdmroute.Response, err error, row *exp.P
 // worker with its best-so-far incumbent; a terminal job is untouched. The
 // returned state is the state after the call.
 func (j *job) requestCancel() (State, bool) {
-	j.mu.Lock()
-	switch {
-	case j.state == StateQueued:
-		j.state = StateCanceled
-		j.err = context.Canceled
-		j.finished = time.Now()
-		j.appendEventLocked(Event{Type: "done", State: StateCanceled, Error: context.Canceled.Error()})
-		hook := j.onFinish
-		j.onFinish = nil
-		j.mu.Unlock()
+	j.Mutex.Lock()
+	switch j.state {
+	case StateQueued:
+		hook, _ := j.finishLocked(StateCanceled, nil, context.Canceled, nil)
+		j.Mutex.Unlock()
 		if hook != nil {
 			hook()
 		}
 		return StateCanceled, true
-	case j.state == StateRunning:
+	case StateRunning:
 		if j.cancelFn != nil {
 			j.cancelFn()
 		}
-		j.mu.Unlock()
-		return StateRunning, false
 	}
 	st := j.state
-	j.mu.Unlock()
+	j.Mutex.Unlock()
 	return st, false
 }
 
-// eventsSince returns a copy of the events from seq on, the clamped position
-// actually used, the channel that will be closed when more arrive, and
-// whether the stream is complete (the job is terminal and every event has
-// been handed out). seq is clamped to [0, len(events)]: a resume cursor
-// beyond the log (a bogus Last-Event-ID) replays nothing and follows the
-// live tail instead of parking the subscriber forever on a completion
-// condition it can never satisfy.
-func (j *job) eventsSince(seq int) ([]Event, int, <-chan struct{}, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if seq < 0 {
-		seq = 0
+// Cancel implements DELETE for the shared handlers and records the outcome
+// of a job cancelled while still queued.
+func (j *job) Cancel() State {
+	state, wasQueued := j.requestCancel()
+	if wasQueued {
+		j.srv.Observe(StateCanceled, false)
+		j.srv.Logf("job %s: canceled while queued", j.id)
 	}
-	if seq > len(j.events) {
-		seq = len(j.events)
-	}
-	evs := append([]Event(nil), j.events[seq:]...)
-	return evs, seq, j.notify, j.state.Terminal() && seq+len(evs) == len(j.events)
+	return state
 }
 
-// currentState returns the job's state.
-func (j *job) currentState() State {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state
-}
-
-// solution returns the job's solution, or nil while it has none.
-func (j *job) solution() (*tdmroute.Solution, *tdmroute.Degraded) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+// Solution returns the job's solution, or nil while it has none.
+func (j *job) Solution() (*tdmroute.Solution, []byte, *tdmroute.Degraded) {
+	j.Mutex.Lock()
+	defer j.Mutex.Unlock()
 	if j.resp == nil {
-		return nil, nil
+		return nil, nil, nil
 	}
-	return j.resp.Solution, j.resp.Degraded
+	return j.resp.Solution, nil, j.resp.Degraded
 }
 
-// status snapshots the job for the status endpoint.
-func (j *job) status() *JobStatus {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+// Status snapshots the job, with the node-resident state the job itself
+// does not know: whether its warm session is still retained here.
+func (j *job) Status() *JobStatus {
+	j.Mutex.Lock()
 	st := &JobStatus{
-		ID:        j.id,
-		State:     j.state,
 		Mode:      j.req.Mode.String(),
 		Bench:     j.req.Instance.Name,
 		BaseID:    j.baseID,
@@ -282,12 +348,11 @@ func (j *job) status() *JobStatus {
 		Created:   j.created,
 		Started:   j.started,
 		Finished:  j.finished,
-		Events:    len(j.events),
 		Response:  j.resp,
 		Telemetry: j.row,
 	}
-	if j.err != nil {
-		st.Error = j.err.Error()
-	}
+	j.StatusLocked(st)
+	j.Mutex.Unlock()
+	st.Retained = j.srv.warm.has(j.id)
 	return st
 }

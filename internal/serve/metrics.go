@@ -3,27 +3,12 @@ package serve
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"strconv"
 	"sync"
 	"sync/atomic"
 
 	"tdmroute"
 )
-
-// outcome classifies how a job ended, for the /metrics counters.
-type outcome int
-
-const (
-	outcomeDone outcome = iota
-	outcomeDegraded
-	outcomeCanceled
-	outcomeFailed
-	outcomeRejected
-	numOutcomes
-)
-
-var outcomeNames = [numOutcomes]string{"done", "degraded", "canceled", "failed", "rejected"}
 
 // stageSecondsBounds are the histogram bucket upper bounds for per-stage
 // wall clocks, in seconds.
@@ -85,12 +70,10 @@ func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// metrics aggregates the server's counters and distributions. Counters that
-// HTTP handlers bump without a finished job (accepted, submitRejected) are
-// atomics; everything observed per finished job shares one mutex.
+// metrics holds the server's own counters and distributions; the shared
+// admission and outcome counters live in the Core. The warm-session
+// counters are atomics; the histograms share one mutex.
 type metrics struct {
-	accepted       atomic.Int64
-	submitRejected atomic.Int64
 	// Warm-session lifecycle: retained on a finished retain=1 job, evicted
 	// by the capacity bound, dropped after a poisoning delta failure, and
 	// conflicts (409s) from concurrent deltas on one session.
@@ -99,12 +82,11 @@ type metrics struct {
 	warmDropped  atomic.Int64
 	warmConflict atomic.Int64
 
-	mu       sync.Mutex
-	outcomes [numOutcomes]int64
-	route    histogram
-	lr       histogram
-	legal    histogram
-	gtr      histogram
+	mu    sync.Mutex
+	route histogram
+	lr    histogram
+	legal histogram
+	gtr   histogram
 }
 
 func (m *metrics) init() {
@@ -114,80 +96,50 @@ func (m *metrics) init() {
 	m.gtr = newHistogram(gtrBounds)
 }
 
-// observe records one finished job. resp is nil for jobs that produced no
-// response (failed, canceled before an incumbent, rejected).
-func (m *metrics) observe(o outcome, resp *tdmroute.Response) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.outcomes[o]++
+// observe records the stage walls and GTR of one finished job's response;
+// resp is nil for jobs that produced none (failed, canceled before an
+// incumbent, rejected).
+func (m *metrics) observe(resp *tdmroute.Response) {
 	if resp == nil {
 		return
 	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	m.route.observe(resp.Times.Route.Seconds())
 	m.lr.observe(resp.Times.LR.Seconds())
 	m.legal.observe(resp.Times.LegalRefine.Seconds())
 	m.gtr.observe(float64(resp.Report.GTRMax))
 }
 
-// finished returns the number of jobs that reached a terminal state.
-func (m *metrics) finished() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var n int64
-	for _, c := range m.outcomes {
-		n += c
+// WriteMetrics renders the full exposition. The live queue and worker
+// gauges reconcile with the counters: at quiescence accepted ==
+// sum(outcomes) + queued + running.
+func (s *Server) WriteMetrics(buf *bytes.Buffer) {
+	s.mu.Lock()
+	running := 0
+	for _, j := range s.jobs {
+		if j.jobLog().State() == StateRunning {
+			running++
+		}
 	}
-	return n
-}
-
-func (m *metrics) summary() string {
+	s.mu.Unlock()
+	s.WriteHead(buf)
+	fmt.Fprintf(buf, "tdmroutd_workers %d\n", s.cfg.Workers)
+	fmt.Fprintf(buf, "tdmroutd_queue_capacity %d\n", cap(s.queue))
+	fmt.Fprintf(buf, "tdmroutd_queue_depth %d\n", len(s.queue))
+	fmt.Fprintf(buf, "tdmroutd_jobs_running %d\n", running)
+	s.WriteAdmissions(buf)
+	m := &s.metrics
+	fmt.Fprintf(buf, "tdmroutd_warm_sessions %d\n", s.warm.size())
+	fmt.Fprintf(buf, "tdmroutd_warm_retained_total %d\n", m.warmRetained.Load())
+	fmt.Fprintf(buf, "tdmroutd_warm_evicted_total %d\n", m.warmEvicted.Load())
+	fmt.Fprintf(buf, "tdmroutd_warm_dropped_total %d\n", m.warmDropped.Load())
+	fmt.Fprintf(buf, "tdmroutd_warm_conflict_total %d\n", m.warmConflict.Load())
+	s.WriteOutcomes(buf)
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	return fmt.Sprintf("accepted %d, done %d, degraded %d, canceled %d, failed %d, rejected %d",
-		m.accepted.Load(), m.outcomes[outcomeDone], m.outcomes[outcomeDegraded],
-		m.outcomes[outcomeCanceled], m.outcomes[outcomeFailed], m.outcomes[outcomeRejected])
-}
-
-// writeMetrics renders the full exposition. The server passes its live
-// queue/worker gauges so they reconcile with the counters: at quiescence
-// accepted == sum(outcomes) + queued + running.
-//
-// w is typically an http.ResponseWriter — a socket a slow peer can stall —
-// so the exposition is rendered into an in-memory buffer and m.mu is
-// released before the single w.Write. Holding the mutex across the socket
-// write would let one slow scraper block every worker calling observe
-// (the bug class mutexhold exists to catch).
-func (m *metrics) write(w io.Writer, queueDepth, queueCap, running, workers, warmSessions int, draining bool) {
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "# tdmroutd metrics\n")
-	fmt.Fprintf(&buf, "tdmroutd_up 1\n")
-	fmt.Fprintf(&buf, "tdmroutd_draining %d\n", boolInt(draining))
-	fmt.Fprintf(&buf, "tdmroutd_workers %d\n", workers)
-	fmt.Fprintf(&buf, "tdmroutd_queue_capacity %d\n", queueCap)
-	fmt.Fprintf(&buf, "tdmroutd_queue_depth %d\n", queueDepth)
-	fmt.Fprintf(&buf, "tdmroutd_jobs_running %d\n", running)
-	fmt.Fprintf(&buf, "tdmroutd_jobs_accepted_total %d\n", m.accepted.Load())
-	fmt.Fprintf(&buf, "tdmroutd_submit_rejected_total %d\n", m.submitRejected.Load())
-	fmt.Fprintf(&buf, "tdmroutd_warm_sessions %d\n", warmSessions)
-	fmt.Fprintf(&buf, "tdmroutd_warm_retained_total %d\n", m.warmRetained.Load())
-	fmt.Fprintf(&buf, "tdmroutd_warm_evicted_total %d\n", m.warmEvicted.Load())
-	fmt.Fprintf(&buf, "tdmroutd_warm_dropped_total %d\n", m.warmDropped.Load())
-	fmt.Fprintf(&buf, "tdmroutd_warm_conflict_total %d\n", m.warmConflict.Load())
-	m.mu.Lock()
-	for o := outcome(0); o < numOutcomes; o++ {
-		fmt.Fprintf(&buf, "tdmroutd_jobs_total{outcome=%q} %d\n", outcomeNames[o], m.outcomes[o])
-	}
-	m.route.write(&buf, "tdmroutd_stage_seconds", `stage="route",`)
-	m.lr.write(&buf, "tdmroutd_stage_seconds", `stage="lr",`)
-	m.legal.write(&buf, "tdmroutd_stage_seconds", `stage="legal_refine",`)
-	m.gtr.write(&buf, "tdmroutd_gtr", "")
+	m.route.write(buf, "tdmroutd_stage_seconds", `stage="route",`)
+	m.lr.write(buf, "tdmroutd_stage_seconds", `stage="lr",`)
+	m.legal.write(buf, "tdmroutd_stage_seconds", `stage="legal_refine",`)
+	m.gtr.write(buf, "tdmroutd_gtr", "")
 	m.mu.Unlock()
-	w.Write(buf.Bytes())
-}
-
-func boolInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }

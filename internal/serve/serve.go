@@ -1,6 +1,14 @@
-// Package serve is the solver-as-a-service core behind cmd/tdmroutd: a
-// stdlib-only HTTP job server wrapping tdmroute.Run. Jobs enter a bounded
-// queue and are solved by a fixed worker pool; each job runs under its own
+// Package serve is the serving core behind both daemons, cmd/tdmroutd and
+// cmd/tdmcoord, and the local executor tdmroutd runs on it.
+//
+// The core (Core) is everything a client sees the same way from either
+// tier: the job table, each job's replayable event log (JobLog), the HTTP
+// handlers below, 503 refusals with Retry-After, the admission and outcome
+// counters, the drain, and the daemon's signal loop (Daemon). A tier
+// embeds it and supplies an Executor — how a job runs — plus a job type
+// implementing Job. Server is the local executor: a stdlib-only HTTP job
+// server wrapping tdmroute.Run. Jobs enter a bounded queue and are solved
+// by a fixed worker pool; each job runs under its own
 // context with an optional deadline, so cancellation (DELETE) and deadline
 // expiry degrade a run to its best-so-far legal incumbent through the
 // package's anytime machinery instead of losing it. Progress (feedback
@@ -31,10 +39,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"fmt"
-	"net/http"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"tdmroute"
@@ -82,36 +86,19 @@ func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 16
 	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 64 << 20
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
 	if c.MaxWarmSessions == 0 {
 		c.MaxWarmSessions = 4
 	}
 	return c
 }
 
-// Server is the job server. Create it with New, expose Handler over HTTP,
-// and stop it with Shutdown.
+// Server is the job server: the shared Core with a local executor — a
+// bounded queue, a fixed worker pool, and the node-resident warm sessions.
+// Create it with New, expose Handler over HTTP, and stop it with Shutdown.
 type Server struct {
-	cfg Config
-	mux *http.ServeMux
-
-	queue chan *job
-	// stopc closes when Shutdown begins: workers stop picking up jobs.
-	stopc chan struct{}
-	//lint:ignore rawgo worker-pool lifecycle accounting, not solver parallelism: Shutdown waits for workers to finish their in-flight jobs
-	wg       sync.WaitGroup
-	draining atomic.Bool
-	stopOnce sync.Once
-
-	mu     sync.Mutex
-	jobs   map[string]*job
-	nextID int
-
+	*Core
+	cfg     Config
+	queue   chan *job
 	warm    *warmRegistry
 	metrics metrics
 }
@@ -120,78 +107,57 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:  cfg,
-		mux:  http.NewServeMux(),
-		jobs: map[string]*job{},
+		cfg: cfg,
 		//lint:ignore rawgo bounded job queue, not solver parallelism: backpressure boundary between HTTP submission and the worker pool
 		queue: make(chan *job, cfg.QueueDepth),
-		//lint:ignore rawgo shutdown signal channel, not solver parallelism: closing it stops the worker pool
-		stopc: make(chan struct{}),
 		warm:  newWarmRegistry(cfg.MaxWarmSessions),
 	}
+	s.Core = NewCore(s, "tdmroutd", "j", cfg.RetryAfter, cfg.MaxBodyBytes, cfg.Logf)
 	s.metrics.init()
-	s.routes()
 	for i := 0; i < cfg.Workers; i++ {
-		s.wg.Add(1)
-		//lint:ignore rawgo solve worker pool, not solver parallelism: each worker runs whole jobs through tdmroute.Run, whose internal parallelism stays in internal/par
-		go s.worker()
+		s.Go(s.worker)
 	}
 	return s
 }
 
-// Handler returns the HTTP handler serving the API.
-func (s *Server) Handler() http.Handler { return s.mux }
-
-// Draining reports whether Shutdown has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
-func (s *Server) logf(format string, args ...any) {
-	if s.cfg.Logf != nil {
-		s.cfg.Logf(format, args...)
+// Submit queues a validated submission, resolved against the server's
+// solver defaults.
+func (s *Server) Submit(sub SubmitRequest) (Job, error) {
+	req, deadline := s.resolve(sub)
+	j, err := s.submit(req, deadline, nil)
+	if err != nil {
+		return nil, err
 	}
-}
-
-// register assigns an id and tracks the job; enqueue must already have
-// succeeded. Callers hold s.mu.
-func (s *Server) registerLocked(j *job) {
-	s.jobs[j.id] = j
-}
-
-// lookup finds a job by id.
-func (s *Server) lookup(id string) *job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.jobs[id]
+	return j, nil
 }
 
 // submit queues a new job. setup, when non-nil, configures the job (delta
-// base id, finish hook) before it becomes visible to any worker. It returns
-// false when the server is draining or the queue is full.
-func (s *Server) submit(req tdmroute.Request, deadline time.Duration, setup func(*job)) (*job, bool) {
+// base id, finish hook) before it becomes visible to any worker. It fails
+// with a 503 refusal when the server is draining or the queue is full.
+func (s *Server) submit(req tdmroute.Request, deadline time.Duration, setup func(*job)) (*job, error) {
 	deadline = s.clampDeadline(deadline)
+	j := newJob(s, req, deadline)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// The draining check and the enqueue happen under one lock against
-	// Shutdown, so no job can slip into the queue after the drain sweep.
+	// Drain, so no job can slip into the queue after the drain sweep.
 	if s.draining.Load() {
-		s.metrics.submitRejected.Add(1)
-		return nil, false
+		s.submitRejected.Add(1)
+		return nil, s.Unavailable("server is draining")
 	}
-	s.nextID++
-	j := newJob(jobID(s.nextID), req, deadline)
+	s.claimLocked(j)
 	if setup != nil {
 		setup(j)
 	}
 	select {
 	case s.queue <- j:
 	default:
-		s.metrics.submitRejected.Add(1)
-		return nil, false
+		s.submitRejected.Add(1)
+		return nil, s.Unavailable("job queue is full")
 	}
 	s.registerLocked(j)
-	s.metrics.accepted.Add(1)
-	s.logf("job %s: queued (mode %s, deadline %v)", j.id, req.Mode, deadline)
-	return j, true
+	s.Logf("job %s: queued (mode %s, deadline %v)", j.id, req.Mode, deadline)
+	return j, nil
 }
 
 func (s *Server) clampDeadline(d time.Duration) time.Duration {
@@ -204,17 +170,8 @@ func (s *Server) clampDeadline(d time.Duration) time.Duration {
 	return d
 }
 
-func jobID(n int) string {
-	// Zero-padded to seven digits so lexical and submission order agree in
-	// listings; ids beyond that simply grow a digit. (A fixed-width buffer
-	// here once truncated ids above 9,999,999 to their low seven digits,
-	// colliding with earlier jobs.)
-	return fmt.Sprintf("j%07d", n)
-}
-
 // worker is one pool goroutine: it runs jobs until Shutdown.
 func (s *Server) worker() {
-	defer s.wg.Done()
 	for {
 		select {
 		case <-s.stopc:
@@ -269,14 +226,12 @@ func (s *Server) runJob(j *job) {
 // possible incumbent lose their response.
 func (s *Server) finishJob(j *job, resp *tdmroute.Response, err error) {
 	state := StateDone
-	outcome := outcomeDone
 	switch {
 	case err != nil && resp != nil && resp.Solution != nil:
 		// A hard error with a legal incumbent: keep the solution (it
 		// validated in an earlier round) and report the run as degraded,
 		// with the error on the job. Discarding it here used to throw away
 		// every kept round of an iterative solve.
-		outcome = outcomeDegraded
 		if resp.Degraded == nil {
 			resp.Degraded = &tdmroute.Degraded{
 				Stage:          tdmroute.StageFeedback,
@@ -289,12 +244,10 @@ func (s *Server) finishJob(j *job, resp *tdmroute.Response, err error) {
 	case err != nil:
 		resp = nil
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			state, outcome = StateCanceled, outcomeCanceled
+			state = StateCanceled
 		} else {
-			state, outcome = StateFailed, outcomeFailed
+			state = StateFailed
 		}
-	case resp.Degraded != nil:
-		outcome = outcomeDegraded
 	}
 	// Strip the warm handle off the response before it is recorded: it
 	// never travels over the wire, and retained sessions live in the
@@ -308,7 +261,7 @@ func (s *Server) finishJob(j *job, resp *tdmroute.Response, err error) {
 			if evicted, retained := s.warm.put(j.id, h); retained {
 				s.metrics.warmRetained.Add(1)
 				s.metrics.warmEvicted.Add(int64(evicted))
-				s.logf("job %s: warm session retained (%d evicted)", j.id, evicted)
+				s.Logf("job %s: warm session retained (%d evicted)", j.id, evicted)
 			}
 		}
 	}
@@ -321,32 +274,35 @@ func (s *Server) finishJob(j *job, resp *tdmroute.Response, err error) {
 	if !j.finish(state, resp, err, row) {
 		return
 	}
-	s.metrics.observe(outcome, resp)
+	s.Observe(state, resp != nil && resp.Degraded != nil)
+	s.metrics.observe(resp)
 	if err != nil {
-		s.logf("job %s: %s: %v", j.id, state, err)
+		s.Logf("job %s: %s: %v", j.id, state, err)
 	} else {
-		s.logf("job %s: %s (GTR %d, degraded=%v)", j.id, state, resp.Report.GTRMax, resp.Degraded != nil)
+		s.Logf("job %s: %s (GTR %d, degraded=%v)", j.id, state, resp.Report.GTRMax, resp.Degraded != nil)
 	}
 }
 
 // reject evicts a queued job during drain.
 func (s *Server) reject(j *job) {
 	if j.finish(StateRejected, nil, errDraining, nil) {
-		s.metrics.observe(outcomeRejected, nil)
-		s.logf("job %s: rejected (draining)", j.id)
+		s.Observe(StateRejected, false)
+		s.Logf("job %s: rejected (draining)", j.id)
 	}
 }
 
 var errDraining = errors.New("serve: server draining; resubmit elsewhere or retry later")
 
-// cancelJob implements DELETE.
-func (s *Server) cancelJob(j *job) State {
-	state, wasQueued := j.requestCancel()
-	if wasQueued {
-		s.metrics.observe(outcomeCanceled, nil)
-		s.logf("job %s: canceled while queued", j.id)
+// rejectQueued rejects every job still waiting in the queue.
+func (s *Server) rejectQueued() {
+	for {
+		select {
+		case j := <-s.queue:
+			s.reject(j)
+		default:
+			return
+		}
 	}
-	return state
 }
 
 // Shutdown drains the server: submissions are rejected from this point on,
@@ -355,54 +311,23 @@ func (s *Server) cancelJob(j *job) State {
 // their best-so-far incumbents. It returns once every worker has finished,
 // or with ctx's error if that takes longer than the caller allows.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	s.draining.Store(true)
-	s.mu.Unlock()
-	s.stopOnce.Do(func() { close(s.stopc) })
-
-	// Reject everything still queued. Workers racing on the same channel
-	// also reject (never run) jobs they pick up while draining.
-	for {
-		select {
-		case j := <-s.queue:
-			s.reject(j)
-			continue
-		default:
+	err := s.Drain(ctx, func(jobs []Job) {
+		// Workers racing on the same channel also reject (never run) jobs
+		// they pick up while draining.
+		s.rejectQueued()
+		// Cancel in-flight jobs: they finish with best-so-far incumbents.
+		for _, j := range jobs {
+			if j := j.(*job); j.State() == StateRunning {
+				j.requestCancel()
+			}
 		}
-		break
-	}
-	// Cancel in-flight jobs: they finish with best-so-far incumbents.
-	s.mu.Lock()
-	for _, j := range s.jobs {
-		if j.currentState() == StateRunning {
-			j.requestCancel()
-		}
-	}
-	s.mu.Unlock()
-
-	//lint:ignore rawgo shutdown completion signal, not solver parallelism: bridges WaitGroup completion to the caller's context
-	done := make(chan struct{})
-	//lint:ignore rawgo shutdown waiter, not solver parallelism: single goroutine closing the completion channel
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-ctx.Done():
-		return ctx.Err()
+	})
+	if err != nil {
+		return err
 	}
 	// A worker may have handed its last job to the queue path between the
 	// sweeps; one final pass guarantees no queued job is left untracked.
-	for {
-		select {
-		case j := <-s.queue:
-			s.reject(j)
-			continue
-		default:
-		}
-		break
-	}
-	s.logf("drained: %s", s.metrics.summary())
+	s.rejectQueued()
+	s.Logf("drained: %s", s.Summary())
 	return nil
 }
