@@ -8,6 +8,7 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -106,7 +107,8 @@ func loadModule(root, modPath string, includeTests bool, workers int) (*module, 
 	// Phase 1: parse every directory concurrently.
 	parsed := make([][]*Package, len(dirs))
 	parseErrs := make([]error, len(dirs))
-	par.ForMin(len(dirs), workers, 1, func(_, start, end int) {
+	// Parsing a package directory dwarfs a fork, so the loop always forks.
+	par.ForMin(len(dirs), workers, 1, math.MaxInt, func(_, start, end int) {
 		for i := start; i < end; i++ {
 			parsed[i], parseErrs[i] = parseDir(fset, root, modPath, dirs[i], includeTests)
 		}
@@ -139,7 +141,7 @@ func loadModule(root, modPath string, includeTests bool, workers int) (*module, 
 	for _, level := range topoLevels(ordered, modPath) {
 		errs := make([]error, len(level))
 		pkgFacts := make([]map[*types.Func]Fact, len(level))
-		par.ForMin(len(level), workers, 1, func(_, start, end int) {
+		par.ForMin(len(level), workers, 1, math.MaxInt, func(_, start, end int) {
 			for i := start; i < end; i++ {
 				errs[i] = checkPackage(fset, level[i], imp)
 				if errs[i] == nil {

@@ -3,6 +3,7 @@ package par
 import (
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -29,7 +30,7 @@ func recoverPanicError(t *testing.T, fn func()) (pe *PanicError) {
 
 func TestForMinPanicFirstChunk(t *testing.T) {
 	pe := recoverPanicError(t, func() {
-		ForMin(8, 4, 1, func(chunk, start, end int) {
+		ForMin(8, 4, 1, math.MaxInt, func(chunk, start, end int) {
 			if chunk == 0 {
 				panic("boom-0")
 			}
@@ -51,7 +52,7 @@ func TestForMinPanicFirstChunk(t *testing.T) {
 
 func TestForMinPanicLastChunk(t *testing.T) {
 	pe := recoverPanicError(t, func() {
-		ForMin(8, 4, 1, func(chunk, start, end int) {
+		ForMin(8, 4, 1, math.MaxInt, func(chunk, start, end int) {
 			if chunk == 3 {
 				panic("boom-3")
 			}
@@ -67,7 +68,7 @@ func TestForMinPanicLowestChunkWins(t *testing.T) {
 	// lowest chunk index regardless of goroutine scheduling.
 	for trial := 0; trial < 20; trial++ {
 		pe := recoverPanicError(t, func() {
-			ForMin(16, 4, 1, func(chunk, start, end int) {
+			ForMin(16, 4, 1, math.MaxInt, func(chunk, start, end int) {
 				panic(chunk)
 			})
 		})
@@ -81,7 +82,7 @@ func TestForMinPanicInline(t *testing.T) {
 	// workers=1 runs inline; the panic must still surface as *PanicError so
 	// behavior is uniform across worker counts.
 	pe := recoverPanicError(t, func() {
-		ForMin(8, 1, 1, func(chunk, start, end int) { panic("seq") })
+		ForMin(8, 1, 1, math.MaxInt, func(chunk, start, end int) { panic("seq") })
 	})
 	if pe == nil || pe.Chunk != 0 || pe.Value != "seq" {
 		t.Fatalf("got %+v", pe)
@@ -90,8 +91,8 @@ func TestForMinPanicInline(t *testing.T) {
 
 func TestNestedForMinKeepsInnermostAttribution(t *testing.T) {
 	pe := recoverPanicError(t, func() {
-		ForMin(4, 2, 1, func(chunk, start, end int) {
-			ForMin(4, 2, 1, func(inner, s, e int) {
+		ForMin(4, 2, 1, math.MaxInt, func(chunk, start, end int) {
+			ForMin(4, 2, 1, math.MaxInt, func(inner, s, e int) {
 				if inner == 1 {
 					panic("nested")
 				}
@@ -117,7 +118,7 @@ func TestCapture(t *testing.T) {
 		t.Fatalf("error passthrough: %v", err)
 	}
 	err := Capture(func() error {
-		ForMin(8, 4, 1, func(chunk, start, end int) {
+		ForMin(8, 4, 1, math.MaxInt, func(chunk, start, end int) {
 			if chunk == 2 {
 				panic("pe")
 			}
@@ -138,7 +139,7 @@ func TestForCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ran := false
-	err := ForCtx(ctx, 1000, 4, func(chunk, start, end int) { ran = true })
+	err := ForCtx(ctx, 1000, 4, math.MaxInt, func(chunk, start, end int) { ran = true })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
 	}
@@ -149,7 +150,7 @@ func TestForCtxPreCancelled(t *testing.T) {
 
 func TestForCtxCompletesWithoutCancel(t *testing.T) {
 	var count int64
-	err := ForMinCtx(context.Background(), 1000, 4, 1, func(chunk, start, end int) {
+	err := ForMinCtx(context.Background(), 1000, 4, 1, math.MaxInt, func(chunk, start, end int) {
 		atomic.AddInt64(&count, int64(end-start))
 	})
 	if err != nil {
@@ -166,7 +167,7 @@ func TestForCtxMidCancelSkipsAndReports(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var ran int64
-	err := ForMinCtx(ctx, 4096, 4, 1, func(chunk, start, end int) {
+	err := ForMinCtx(ctx, 4096, 4, 1, math.MaxInt, func(chunk, start, end int) {
 		cancel()
 		atomic.AddInt64(&ran, 1)
 	})
@@ -179,7 +180,7 @@ func TestForCtxMidCancelSkipsAndReports(t *testing.T) {
 }
 
 func TestForCtxPanicReturnedAsError(t *testing.T) {
-	err := ForMinCtx(context.Background(), 8, 4, 1, func(chunk, start, end int) {
+	err := ForMinCtx(context.Background(), 8, 4, 1, math.MaxInt, func(chunk, start, end int) {
 		if chunk == 1 {
 			panic("ctx-pe")
 		}
@@ -199,12 +200,12 @@ func TestChunkHookInjection(t *testing.T) {
 	})
 	defer SetChunkHook(nil)
 	pe := recoverPanicError(t, func() {
-		ForMin(8, 4, 1, func(chunk, start, end int) {})
+		ForMin(8, 4, 1, math.MaxInt, func(chunk, start, end int) {})
 	})
 	if pe == nil || pe.Value != "injected" {
 		t.Fatalf("got %+v", pe)
 	}
 	// With the hook cleared the same loop runs clean.
 	SetChunkHook(nil)
-	ForMin(8, 4, 1, func(chunk, start, end int) {})
+	ForMin(8, 4, 1, math.MaxInt, func(chunk, start, end int) {})
 }

@@ -1,6 +1,7 @@
 package par
 
 import (
+	"math"
 	"sync/atomic"
 	"testing"
 )
@@ -10,7 +11,7 @@ func TestForCoversRange(t *testing.T) {
 		for _, n := range []int{0, 1, 255, 256, 1000, 4096} {
 			var count int64
 			seen := make([]int32, n)
-			For(n, workers, func(_, start, end int) {
+			For(n, workers, math.MaxInt, func(_, start, end int) {
 				for i := start; i < end; i++ {
 					atomic.AddInt32(&seen[i], 1)
 					atomic.AddInt64(&count, 1)
@@ -34,7 +35,7 @@ func TestForMinCoversRange(t *testing.T) {
 			for _, n := range []int{0, 1, 2, 3, 7, 100} {
 				var count int64
 				seen := make([]int32, n)
-				ForMin(n, workers, minChunk, func(_, start, end int) {
+				ForMin(n, workers, minChunk, math.MaxInt, func(_, start, end int) {
 					for i := start; i < end; i++ {
 						atomic.AddInt32(&seen[i], 1)
 						atomic.AddInt64(&count, 1)
@@ -58,7 +59,7 @@ func TestNumChunksMatchesFor(t *testing.T) {
 		for _, minChunk := range []int{1, 2, 256} {
 			for _, n := range []int{0, 1, 3, 255, 256, 257, 5000} {
 				var maxChunk int64 = -1
-				ForMin(n, workers, minChunk, func(chunk, _, _ int) {
+				ForMin(n, workers, minChunk, math.MaxInt, func(chunk, _, _ int) {
 					for {
 						old := atomic.LoadInt64(&maxChunk)
 						if int64(chunk) <= old || atomic.CompareAndSwapInt64(&maxChunk, old, int64(chunk)) {
@@ -85,7 +86,7 @@ func TestChunkBoundsNeverExceedWorkers(t *testing.T) {
 	// index per-worker scratch with it.
 	for _, workers := range []int{2, 3, 8} {
 		for _, n := range []int{2, 5, 17, 1000} {
-			ForMin(n, workers, 1, func(chunk, _, _ int) {
+			ForMin(n, workers, 1, math.MaxInt, func(chunk, _, _ int) {
 				if chunk >= workers {
 					t.Errorf("workers=%d n=%d: chunk %d out of range", workers, n, chunk)
 				}

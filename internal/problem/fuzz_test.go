@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -95,6 +96,59 @@ func FuzzParseSolution(f *testing.F) {
 			t.Fatalf("write-back failed: %v", err)
 		}
 		back, err := ParseSolution(&buf, numEdges)
+		if err != nil {
+			t.Fatalf("round-trip parse failed: %v\ninput: %q", err, data)
+		}
+		if !reflect.DeepEqual(back, sol) {
+			t.Fatalf("round trip changed the solution: %+v vs %+v\ninput: %q", back, sol, data)
+		}
+	})
+}
+
+// FuzzParseSolutionBinary checks the binary solution decoder that the
+// coordinator's client runs on every fetch from a backend: it never
+// panics, accepts only in-range rows, and whatever it accepts round-trips
+// through WriteSolutionBinary to an equal Solution.
+func FuzzParseSolutionBinary(f *testing.F) {
+	for _, s := range solutionSeeds {
+		sol, err := ParseSolution(strings.NewReader(s.Text), s.NumEdges)
+		if err != nil {
+			f.Fatalf("seed %q: %v", s.Text, err)
+		}
+		var buf bytes.Buffer
+		if err := WriteSolutionBinary(&buf, sol); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes(), s.NumEdges)
+	}
+	f.Add(solutionMagic[:], 4)
+	f.Add([]byte("not a solution"), 4)
+	f.Fuzz(func(t *testing.T, data []byte, numEdges int) {
+		if numEdges < 0 || numEdges > 1000 {
+			numEdges = 10
+		}
+		sol, err := ParseSolutionBinary(bytes.NewReader(data), numEdges)
+		if err != nil {
+			return
+		}
+		if len(sol.Routes) != len(sol.Assign.Ratios) {
+			t.Fatal("accepted solution with mismatched net counts")
+		}
+		for n := range sol.Routes {
+			if len(sol.Routes[n]) != len(sol.Assign.Ratios[n]) {
+				t.Fatal("accepted solution with mismatched lengths")
+			}
+			for _, e := range sol.Routes[n] {
+				if e < 0 || e >= numEdges {
+					t.Fatalf("accepted out-of-range edge %d", e)
+				}
+			}
+		}
+		var buf bytes.Buffer
+		if err := WriteSolutionBinary(&buf, sol); err != nil {
+			t.Fatalf("write-back failed: %v", err)
+		}
+		back, err := ParseSolutionBinary(&buf, numEdges)
 		if err != nil {
 			t.Fatalf("round-trip parse failed: %v\ninput: %q", err, data)
 		}

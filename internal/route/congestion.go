@@ -78,14 +78,15 @@ func newCongIndex(r *router) *congIndex {
 	}
 	// The same disjoint-index integer sweeps as phiAll, with ψ retained.
 	workers := r.opt.workers()
+	psiWork, phiWork := r.sweepWork()
 	c.psi = make([]int64, len(r.in.Nets))
-	par.For(len(c.psi), workers, func(_, start, end int) {
+	par.For(len(c.psi), workers, psiWork, func(_, start, end int) {
 		for n := start; n < end; n++ {
 			c.psi[n] = r.psi(n)
 		}
 	})
 	c.phi = make([]int64, len(r.in.Groups))
-	par.For(len(c.phi), workers, func(_, start, end int) {
+	par.For(len(c.phi), workers, phiWork, func(_, start, end int) {
 		for gi := start; gi < end; gi++ {
 			var sum int64
 			for _, n := range r.in.Groups[gi].Nets {

@@ -1,7 +1,8 @@
 // Wave-parallel routing: the θ-ordered net sequence is split into fixed
-// waves; every net of a wave is embedded concurrently against a frozen
-// usage snapshot by per-worker solvers, then the wave's trees are merged
-// into the shared usage in wave order. This is the speculative batch
+// waves; every net of a wave is embedded against a frozen usage snapshot
+// by per-worker solvers (concurrently when the wave carries enough work to
+// pay for a fork, see package par), then the wave's trees are merged into
+// the shared usage in wave order. This is the speculative batch
 // routing of the parallel-router literature (ParaLarH, and the batched
 // net-parallelism of the open-source FPGA routers): nets within one wave do
 // not see each other's congestion, which trades a bounded amount of
@@ -35,7 +36,14 @@ func (r *router) buildMSTs(ctx context.Context) error {
 	n := len(r.in.Nets)
 	workers := r.opt.workers()
 	errs := make([]error, par.NumChunks(n, workers))
-	if err := par.ForCtx(ctx, n, workers, func(chunk, start, end int) {
+	// A k-terminal net's MST looks up and sorts its k(k-1)/2 terminal
+	// pairs: about k³ element visits.
+	work := 0
+	for i := range r.in.Nets {
+		k := len(r.in.Nets[i].Terminals)
+		work += k * k * k
+	}
+	if err := par.ForCtx(ctx, n, workers, work, func(chunk, start, end int) {
 		var sc mstScratch // private: the shared r.msc would race across chunks
 		for i := start; i < end; i++ {
 			mst, err := r.terminalMSTScratch(i, &sc)
@@ -88,7 +96,7 @@ func (r *router) routeWaves(ctx context.Context, order []int) error {
 			end = len(order)
 		}
 		wave := order[start:end]
-		par.ForMin(len(wave), workers, 1, func(chunk, s, e int) {
+		par.ForMin(len(wave), workers, 1, r.waveWork(wave), func(chunk, s, e int) {
 			w := ws[chunk]
 			for i := s; i < e; i++ {
 				n := wave[i]
@@ -112,4 +120,19 @@ func (r *router) routeWaves(ctx context.Context, order []int) error {
 		}
 	}
 	return nil
+}
+
+// waveWork estimates the element visits of embedding a wave: KMB runs one
+// shortest-path search per terminal-MST edge (k-1 for k terminals), and a
+// search visits up to every arc of the graph, 2·NumEdges. Mehlhorn's
+// construction searches once from all terminals, so for it the estimate
+// errs toward forking.
+func (r *router) waveWork(wave []int) int {
+	searches := 0
+	for _, n := range wave {
+		if k := len(r.in.Nets[n].Terminals); k > 1 {
+			searches += k - 1
+		}
+	}
+	return searches * 2 * r.in.G.NumEdges()
 }

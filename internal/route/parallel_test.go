@@ -3,8 +3,12 @@ package route
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"tdmroute/internal/par"
 	"tdmroute/internal/problem"
 )
 
@@ -80,9 +84,13 @@ func TestRouteParallelValidAndDeterministic(t *testing.T) {
 }
 
 // TestRouteParallelRace is the race-detector workload of the CI `-race`
-// job: a large wave-parallel run with rip-up rounds on top.
+// job: a large wave-parallel run with rip-up rounds on top. The graph is
+// big enough that each wave's estimated work is above par's grain, so the
+// waves fork and the race detector sees concurrent embedding; the chunk
+// hook checks that two chunks were indeed in flight at once.
 func TestRouteParallelRace(t *testing.T) {
-	in := randomInstance(20, 25, 1500, 300, 77)
+	in := randomInstance(200, 400, 1500, 300, 77)
+	overlapped := watchOverlap(t)
 	routes, _, err := Route(context.Background(), in, Options{Workers: 8, RipUpRounds: 3, KeepWorse: true})
 	if err != nil {
 		t.Fatal(err)
@@ -90,6 +98,32 @@ func TestRouteParallelRace(t *testing.T) {
 	if err := problem.ValidateRouting(in, routes); err != nil {
 		t.Fatal(err)
 	}
+	if !overlapped() {
+		t.Fatal("no two chunks were ever in flight at once: the waves ran inline")
+	}
+}
+
+// watchOverlap installs a chunk hook that holds each chunk at its entry
+// until a second chunk enters too, or briefly times out, and reports
+// whether two chunks ever met there. Once they have, the hook stops
+// holding. The hook is removed when the test ends.
+func watchOverlap(t *testing.T) (overlapped func() bool) {
+	var waiting atomic.Int32
+	var met atomic.Bool
+	par.SetChunkHook(func(int) {
+		if met.Load() {
+			return
+		}
+		if waiting.Add(1) >= 2 {
+			met.Store(true)
+		}
+		for deadline := time.Now().Add(10 * time.Millisecond); !met.Load() && time.Now().Before(deadline); {
+			runtime.Gosched()
+		}
+		waiting.Add(-1)
+	})
+	t.Cleanup(func() { par.SetChunkHook(nil) })
+	return met.Load
 }
 
 // TestRouteParallelQualityClose asserts the speculative wave routing does

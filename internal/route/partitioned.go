@@ -13,6 +13,7 @@ package route
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"tdmroute/internal/par"
 	"tdmroute/internal/partition"
@@ -78,7 +79,8 @@ func (r *router) routePartitioned(ctx context.Context, order []int) error {
 	}
 	trees := make([][]int, len(r.in.Nets))
 	errs := make([]error, nchunks)
-	if err := par.ForMinCtx(ctx, p, workers, 1, func(chunk, s, e int) {
+	// Each region routes a whole net sequence: always worth a fork.
+	if err := par.ForMinCtx(ctx, p, workers, 1, math.MaxInt, func(chunk, s, e int) {
 		w := pws[chunk]
 		regUsage := make([]uint32, r.in.G.NumEdges())
 		for reg := s; reg < e; reg++ {

@@ -60,17 +60,20 @@ type Options struct {
 	RerouteSteiner SteinerAlg
 	// Order selects the initial net ordering (paper: OrderThetaAsc).
 	Order NetOrder
-	// Workers is the number of goroutines used by the routing hot loops:
-	// terminal-MST construction, wave-parallel net embedding, and the
-	// ψ/φ(g) congestion sweeps. <= 1 routes sequentially and reproduces
-	// the historical single-threaded results exactly. >= 2 routes the
-	// θ-ordered net sequence in waves of Workers*waveFactor nets: every
-	// net of a wave is embedded concurrently against a frozen usage
-	// snapshot, then the wave's trees are merged into the shared usage in
-	// wave order (ParaLarH-style speculative routing). Results are
-	// deterministic for a fixed Workers value; different worker counts
-	// partition the waves differently and may route individual nets
-	// differently.
+	// Workers fixes the chunk partition of the routing hot loops
+	// (terminal-MST construction, wave-parallel net embedding, and the
+	// ψ/φ(g) congestion sweeps) and the wave size, and so the routing.
+	// <= 1 routes sequentially and reproduces the historical
+	// single-threaded results exactly. >= 2 routes the θ-ordered net
+	// sequence in waves of Workers*waveFactor nets: every net of a wave is
+	// embedded against a frozen usage snapshot, then the wave's trees are
+	// merged into the shared usage in wave order (ParaLarH-style
+	// speculative routing). Whether a loop's chunks actually run on up to
+	// Workers goroutines is decided by its estimated work (see package
+	// par): a small wave runs its chunks one after another on the caller,
+	// with the same result. Results are deterministic for a fixed Workers
+	// value; different worker counts partition the waves differently and
+	// may route individual nets differently.
 	Workers int
 	// Partitions > 1 routes the initial net ordering through that many
 	// spatially partitioned regions instead of waves: region-local nets
@@ -504,19 +507,35 @@ func (r *router) psi(n int) int64 {
 	return sum
 }
 
+// sweepWork estimates the element visits of the ψ and φ(g) sweeps: every
+// routed edge of every net (Σ_e |N_e|), and every net of every group. Both
+// are passes of counter and length reads, cheaper than the sweeps.
+func (r *router) sweepWork() (psiWork, phiWork int) {
+	for _, u := range r.usage {
+		//lint:ignore satarith a count of routed edges, bounded by the routing's total length, which fits in memory and so far below MaxInt
+		psiWork += int(u)
+	}
+	for _, g := range r.in.Groups {
+		//lint:ignore satarith a count of group memberships, bounded by the instance's size in memory
+		phiWork += len(g.Nets)
+	}
+	return psiWork, phiWork
+}
+
 // phiAll computes φ(g) of Eq. (2) for every group. Both sweeps are integer
 // reductions over disjoint indices, so the parallel result is identical to
 // the sequential one for every worker count.
 func (r *router) phiAll() []int64 {
 	workers := r.opt.workers()
+	psiWork, phiWork := r.sweepWork()
 	psi := make([]int64, len(r.in.Nets))
-	par.For(len(psi), workers, func(_, start, end int) {
+	par.For(len(psi), workers, psiWork, func(_, start, end int) {
 		for n := start; n < end; n++ {
 			psi[n] = r.psi(n)
 		}
 	})
 	phi := make([]int64, len(r.in.Groups))
-	par.For(len(phi), workers, func(_, start, end int) {
+	par.For(len(phi), workers, phiWork, func(_, start, end int) {
 		for gi := start; gi < end; gi++ {
 			var sum int64
 			for _, n := range r.in.Groups[gi].Nets {

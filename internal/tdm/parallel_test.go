@@ -4,9 +4,13 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"tdmroute/internal/graph"
+	"tdmroute/internal/par"
 	"tdmroute/internal/problem"
 )
 
@@ -61,14 +65,45 @@ func TestParallelLRLargeInstanceClose(t *testing.T) {
 	}
 }
 
+// TestParallelLRDeterministicAcrossRuns is also the race-detector workload
+// of the LR sweeps: the instance has enough routed cells that the pattern
+// and net-TDM sweeps are above par's grain and fork, which the chunk hook
+// confirms by seeing two chunks in flight at once.
 func TestParallelLRDeterministicAcrossRuns(t *testing.T) {
-	in, routes := bigSyntheticTopology(3000, 200, 1500)
-	_, z1, lb1, it1, _, _ := RunLR(context.Background(), in, routes, Options{Epsilon: 1e-4, MaxIter: 150, Workers: 6})
-	_, z2, lb2, it2, _, _ := RunLR(context.Background(), in, routes, Options{Epsilon: 1e-4, MaxIter: 150, Workers: 6})
+	in, routes := bigSyntheticTopology(15000, 300, 9000)
+	overlapped := watchOverlap(t)
+	_, z1, lb1, it1, _, _ := RunLR(context.Background(), in, routes, Options{Epsilon: 1e-4, MaxIter: 40, Workers: 6})
+	_, z2, lb2, it2, _, _ := RunLR(context.Background(), in, routes, Options{Epsilon: 1e-4, MaxIter: 40, Workers: 6})
 	if z1 != z2 || lb1 != lb2 || it1 != it2 {
 		t.Fatalf("same worker count differs across runs: z %g/%g lb %g/%g it %d/%d",
 			z1, z2, lb1, lb2, it1, it2)
 	}
+	if !overlapped() {
+		t.Fatal("no two chunks were ever in flight at once: the sweeps ran inline")
+	}
+}
+
+// watchOverlap installs a chunk hook that holds each chunk at its entry
+// until a second chunk enters too, or briefly times out, and reports
+// whether two chunks ever met there. Once they have, the hook stops
+// holding. The hook is removed when the test ends.
+func watchOverlap(t *testing.T) (overlapped func() bool) {
+	var waiting atomic.Int32
+	var met atomic.Bool
+	par.SetChunkHook(func(int) {
+		if met.Load() {
+			return
+		}
+		if waiting.Add(1) >= 2 {
+			met.Store(true)
+		}
+		for deadline := time.Now().Add(10 * time.Millisecond); !met.Load() && time.Now().Before(deadline); {
+			runtime.Gosched()
+		}
+		waiting.Add(-1)
+	})
+	t.Cleanup(func() { par.SetChunkHook(nil) })
+	return met.Load
 }
 
 // bigSyntheticTopology builds a wide instance (many nets over a ring) that
