@@ -401,7 +401,7 @@ func runDelta(ctx context.Context, req Request) (*Response, error) {
 	topt.WarmLambda = h.lambda
 	var captured []float64
 	topt.CaptureLambda = func(l []float64) { captured = l }
-	assign, rep, times, stage, err := assignTimedSession(ctx, h.ts, h.in, h.rs.RoutesAlias(), changed, topt)
+	assign, rep, times, stage, err := assignTimed(ctx, sessionLR(h.ts, changed), h.in, h.rs.RoutesAlias(), topt)
 	res.Times.LR = times.LR
 	res.Times.LegalRefine = times.LegalRefine
 	if err != nil {

@@ -22,7 +22,7 @@
 // dead backend stopped (skipping the replayed prefix by count) and the
 // client observes one uninterrupted job — the replay-equivalence guarantee
 // the chaos suite enforces. Every completed solution is verified against the
-// backend's own content digest (PerfRow.SolutionSHA256) before it is served
+// backend's own content digest (Telemetry.SolutionSHA256) before it is served
 // or cached, so a corrupted response becomes a retry and, past the attempt
 // budget, a typed error — never silently wrong bytes.
 //

@@ -25,7 +25,7 @@ var (
 	// carried the job to completion.
 	ErrAttemptsExhausted = errors.New("coord: dispatch attempts exhausted")
 	// ErrCorruptResponse: a backend's solution bytes did not match its own
-	// content digest (PerfRow.SolutionSHA256); the response was discarded.
+	// content digest (Telemetry.SolutionSHA256); the response was discarded.
 	ErrCorruptResponse = errors.New("coord: backend returned corrupt solution bytes")
 	// ErrSessionLost: a delta job's backend (and with it the pinned warm
 	// session) became unreachable; deltas cannot be re-dispatched.

@@ -2,8 +2,11 @@ package exp
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
+
+	"tdmroute"
 )
 
 // smallCfg keeps harness tests fast: two benchmarks at a tiny scale.
@@ -111,6 +114,18 @@ func TestFig3a(t *testing.T) {
 	WriteFig3a(&buf, b)
 	if !strings.Contains(buf.String(), "Lagrangian Relaxation") {
 		t.Error("rendered Fig 3a missing label")
+	}
+}
+
+// TestFig3aValidatesOptions checks that Fig3a solves through Run, so the
+// Config's Workers and Partitions reach the solver and are validated there.
+func TestFig3aValidatesOptions(t *testing.T) {
+	cfg := smallCfg()
+	cfg.Partitions = -1
+	_, err := Fig3a(cfg)
+	var oe *tdmroute.OptionError
+	if !errors.As(err, &oe) || oe.Field != "partitions" {
+		t.Fatalf("Fig3a with Partitions -1: err = %v, want an *OptionError for partitions", err)
 	}
 }
 

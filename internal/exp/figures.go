@@ -44,7 +44,8 @@ func (b Breakdown) Percent() (lr, route, parse, output, legal float64) {
 // Fig3a measures the per-stage runtime over the configured suite, including
 // real text parsing and output writing so the I/O slices of the pie chart
 // are populated: every instance is serialized to its text form and parsed
-// back, and every solution is written out.
+// back, solved by tdmroute.Run (whose Response.Times supplies the three
+// solver stages), and its solution written out.
 func Fig3a(cfg Config) (Breakdown, error) {
 	cfg = cfg.withDefaults()
 	ins, err := cfg.instances()
@@ -68,34 +69,22 @@ func Fig3a(cfg Config) (Breakdown, error) {
 		}
 		b.Parse += time.Since(t0)
 
-		opt := cfg.solveOptions(in.Name)
+		res, err := tdmroute.Run(cfg.ctx(), tdmroute.Request{Instance: parsed, Options: cfg.solveOptions(in.Name)})
+		if err != nil {
+			return b, err
+		}
+		b.Route += res.Times.Route
+		b.LR += res.Times.LR
+		b.LegalRefine += res.Times.LegalRefine
+		if res.Degraded != nil {
+			return b, cfg.interrupted(res.Degraded.Cause)
+		}
+
 		t1 := time.Now()
-		routes, _, err := route.Route(cfg.ctx(), parsed, opt.Route)
-		if err != nil {
+		if err := problem.WriteSolution(io.Discard, res.Solution); err != nil {
 			return b, err
 		}
-		b.Route += time.Since(t1)
-
-		t2 := time.Now()
-		relaxed, _, _, _, _, stopped := tdm.RunLR(cfg.ctx(), parsed, routes, opt.TDM)
-		b.LR += time.Since(t2)
-		if relaxed == nil {
-			return b, stopped
-		}
-
-		t3 := time.Now()
-		assign, _, err := tdm.Finish(cfg.ctx(), parsed, routes, relaxed, opt.TDM)
-		if err != nil {
-			return b, err
-		}
-		b.LegalRefine += time.Since(t3)
-
-		t4 := time.Now()
-		sol := &problem.Solution{Routes: routes, Assign: assign}
-		if err := problem.WriteSolution(io.Discard, sol); err != nil {
-			return b, err
-		}
-		b.Output += time.Since(t4)
+		b.Output += time.Since(t1)
 	}
 	return b, nil
 }

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
@@ -12,9 +11,9 @@ import (
 	"tdmroute/internal/problem"
 )
 
-// PerfRow is one benchmark's measurement in the performance trajectory: the
-// iterated co-optimization flow timed per stage, with the work counters and
-// a solution digest so regressions in speed or in byte-identity both show up
+// PerfRow is one benchmark's row of cmd/bench -benchjson: the iterated
+// co-optimization flow timed per stage, with the work counters and a
+// solution digest so regressions in speed or in byte-identity both show up
 // in the committed baselines (BENCH_<n>.json).
 type PerfRow struct {
 	Bench   string  `json:"bench"`
@@ -110,7 +109,7 @@ func perfBench(cfg Config, in *problem.Instance, rounds, reps int) (PerfRow, err
 			best, res = elapsed, r
 		}
 	}
-	row, err := RowFromResponse(in.Name, res, best)
+	row, err := rowFromResponse(in.Name, res, best)
 	if err != nil {
 		return PerfRow{}, err
 	}
@@ -121,15 +120,13 @@ func perfBench(cfg Config, in *problem.Instance, rounds, reps int) (PerfRow, err
 	return row, nil
 }
 
-// RowFromResponse converts one finished solve into the PerfRow telemetry
-// shape: the serve package reuses it to report per-job stage walls, work
-// counters, and the solution digest with the exact fields the committed
-// BENCH_<n>.json baselines use. Wall is the end-to-end wall clock observed
-// by the caller; fields without a source in the response (Scale,
-// RoundsRequested) are left zero for the caller to fill.
-func RowFromResponse(name string, res *tdmroute.Response, wall time.Duration) (PerfRow, error) {
-	var buf bytes.Buffer
-	if err := problem.WriteSolution(&buf, res.Solution); err != nil {
+// rowFromResponse converts one finished solve into a PerfRow. Wall is the
+// end-to-end wall clock observed by the caller; fields without a source in
+// the response (Scale, Workers, Partitions, RoundsRequested) are left zero
+// for the caller to fill.
+func rowFromResponse(name string, res *tdmroute.Response, wall time.Duration) (PerfRow, error) {
+	h := sha256.New()
+	if err := problem.WriteSolution(h, res.Solution); err != nil {
 		return PerfRow{}, err
 	}
 	return PerfRow{
@@ -145,7 +142,7 @@ func RowFromResponse(name string, res *tdmroute.Response, wall time.Duration) (P
 		LRIterations:   res.Report.Iterations,
 		RippedNets:     res.RouteStats.RippedNets,
 		RevertedRounds: res.RouteStats.RevertedRound,
-		SolutionSHA256: fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())),
+		SolutionSHA256: fmt.Sprintf("%x", h.Sum(nil)),
 	}, nil
 }
 
@@ -159,21 +156,4 @@ func WritePerfJSON(w io.Writer, rep *PerfReport) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(rep)
-}
-
-// ReadPerfJSON parses a PerfReport written by WritePerfJSON, tolerating rows
-// from older baselines: rows without a "scale" field inherit the report-level
-// scale, so comparisons across baseline generations stay column-complete.
-func ReadPerfJSON(r io.Reader) (*PerfReport, error) {
-	var rep PerfReport
-	if err := json.NewDecoder(r).Decode(&rep); err != nil {
-		return nil, fmt.Errorf("exp: reading perf report: %w", err)
-	}
-	for i := range rep.Rows {
-		row := &rep.Rows[i]
-		if row.Scale == 0 {
-			row.Scale = rep.Scale
-		}
-	}
-	return &rep, nil
 }

@@ -150,3 +150,62 @@ func FuzzDeltaRequest(f *testing.F) {
 		}
 	})
 }
+
+// FuzzJobStatus feeds arbitrary bytes through the JSON decoding the client
+// runs on every status poll and event frame, Response.UnmarshalJSON
+// included: the coordinator trusts what its backends send. Decoding must
+// never panic, and a status or event it accepts must re-encode to bytes
+// that decode and re-encode to themselves.
+func FuzzJobStatus(f *testing.F) {
+	in := tinySubmitInstance(f)
+	resp, err := tdmroute.Run(context.Background(), tdmroute.Request{Instance: in, Mode: tdmroute.ModeIterative, Rounds: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	sum, err := solutionDigest(resp.Solution)
+	if err != nil {
+		f.Fatal(err)
+	}
+	st, err := json.Marshal(&JobStatus{
+		ID: "j1", State: StateDone, Mode: "iterative", Bench: in.Name, NumEdges: in.G.NumEdges(),
+		Events: 4, Response: resp, Telemetry: &Telemetry{SolutionSHA256: sum},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(st)
+	f.Add([]byte(`{"seq":3,"type":"lr","round":1,"iter":2,"z":1.5,"lb":1.25}`))
+	f.Add([]byte(`{"seq":9,"type":"done","state":"failed","error":"boom"}`))
+	f.Add([]byte(`{"id":"j2","state":"done","response":{"mode":"single","times":{"route_ms":1.001,"lr_ms":1e300,"legal_refine_ms":-1},"degraded":{"stage":"lr","cause":""}}}`))
+	f.Add([]byte(`{"state":"done","response":{"schema_version":3,"mode":"single"}}`))
+	f.Add([]byte(`{"response":{"mode":"bogus"},"telemetry":{"solution_sha256":""}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fuzzRoundTrip[JobStatus](t, data)
+		fuzzRoundTrip[Event](t, data)
+	})
+}
+
+// fuzzRoundTrip decodes data as a T and, if that is accepted, checks that
+// the value re-encodes and that the encoding is a fixed point of decode and
+// re-encode.
+func fuzzRoundTrip[T any](t *testing.T, data []byte) {
+	var v T
+	if json.Unmarshal(data, &v) != nil {
+		return
+	}
+	once, err := json.Marshal(&v)
+	if err != nil {
+		t.Fatalf("accepted %q as %T but cannot re-encode it: %v", data, v, err)
+	}
+	var again T
+	if err := json.Unmarshal(once, &again); err != nil {
+		t.Fatalf("re-decoding %s as %T: %v", once, again, err)
+	}
+	twice, err := json.Marshal(&again)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(once, twice) {
+		t.Fatalf("%T does not round-trip:\n once: %s\ntwice: %s", v, once, twice)
+	}
+}

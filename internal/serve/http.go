@@ -2,6 +2,8 @@ package serve
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"mime"
@@ -237,4 +239,14 @@ func writeSolution(w http.ResponseWriter, format string, sol *tdmroute.Solution,
 		return
 	}
 	w.Write(buf.Bytes())
+}
+
+// solutionDigest is the hex SHA-256 of the text solution writeSolution
+// serves by default: the digest a job's Telemetry carries.
+func solutionDigest(sol *tdmroute.Solution) (string, error) {
+	h := sha256.New()
+	if err := problem.WriteSolution(h, sol); err != nil {
+		return "", err
+	}
+	return hex.EncodeToString(h.Sum(nil)), nil
 }

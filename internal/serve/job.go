@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"tdmroute"
-	"tdmroute/internal/exp"
 )
 
 // State is a job's lifecycle state.
@@ -88,9 +87,19 @@ type JobStatus struct {
 	Backend string `json:"backend,omitempty"`
 	// Response is set once the job finished with a result (State done).
 	Response *tdmroute.Response `json:"response,omitempty"`
-	// Telemetry is the per-job PerfRow (stage walls, work counters,
-	// solution digest), present for jobs that produced a solution.
-	Telemetry *exp.PerfRow `json:"telemetry,omitempty"`
+	// Telemetry carries the solution digest, present for jobs that
+	// produced a solution. Everything else about the solve (stage walls,
+	// work counters, rounds) is in Response.
+	Telemetry *Telemetry `json:"telemetry,omitempty"`
+}
+
+// Telemetry is what the serving tier records about a job's solution beyond
+// its Response.
+type Telemetry struct {
+	// SolutionSHA256 is the hex SHA-256 of the text solution that
+	// GET /v1/jobs/{id}/solution serves. The coordinator checks every
+	// solution it fetches against it.
+	SolutionSHA256 string `json:"solution_sha256"`
 }
 
 // JobLog is the part of a job both tiers keep the same way: its id, its
@@ -223,7 +232,7 @@ type job struct {
 	// Guarded by JobLog.Mutex.
 	cancelFn context.CancelFunc // set while running
 	resp     *tdmroute.Response
-	row      *exp.PerfRow
+	tel      *Telemetry
 	started  time.Time
 	finished time.Time
 }
@@ -265,9 +274,9 @@ func (j *job) progress(p tdmroute.Progress) {
 
 // finish records the terminal state. It is a no-op when the job already
 // reached one (a queued job cancelled by DELETE and later swept by drain).
-func (j *job) finish(state State, resp *tdmroute.Response, err error, row *exp.PerfRow) bool {
+func (j *job) finish(state State, resp *tdmroute.Response, err error, tel *Telemetry) bool {
 	j.Mutex.Lock()
-	hook, ok := j.finishLocked(state, resp, err, row)
+	hook, ok := j.finishLocked(state, resp, err, tel)
 	j.Mutex.Unlock()
 	if hook != nil {
 		hook()
@@ -277,12 +286,12 @@ func (j *job) finish(state State, resp *tdmroute.Response, err error, row *exp.P
 
 // finishLocked records the terminal state under the held lock and hands
 // back the finish hook, which the caller runs after unlocking.
-func (j *job) finishLocked(state State, resp *tdmroute.Response, err error, row *exp.PerfRow) (func(), bool) {
+func (j *job) finishLocked(state State, resp *tdmroute.Response, err error, tel *Telemetry) (func(), bool) {
 	if !j.FinishLocked(state, err) {
 		return nil, false
 	}
 	j.resp = resp
-	j.row = row
+	j.tel = tel
 	j.cancelFn = nil
 	j.finished = time.Now()
 	hook := j.onFinish
@@ -349,7 +358,7 @@ func (j *job) Status() *JobStatus {
 		Started:   j.started,
 		Finished:  j.finished,
 		Response:  j.resp,
-		Telemetry: j.row,
+		Telemetry: j.tel,
 	}
 	j.StatusLocked(st)
 	j.Mutex.Unlock()

@@ -21,7 +21,7 @@
 //
 //	POST   /v1/jobs             submit an instance (text, JSON, or binary;
 //	                            multipart with a fixed routing for assign mode)
-//	GET    /v1/jobs/{id}        job status + response + telemetry
+//	GET    /v1/jobs/{id}        job status + response + solution digest
 //	GET    /v1/jobs/{id}/events progress stream (SSE)
 //	GET    /v1/jobs/{id}/solution solution in any solution format
 //	DELETE /v1/jobs/{id}        cancel (running jobs keep their incumbent)
@@ -42,7 +42,6 @@ import (
 	"time"
 
 	"tdmroute"
-	"tdmroute/internal/exp"
 	"tdmroute/internal/par"
 )
 
@@ -265,13 +264,13 @@ func (s *Server) finishJob(j *job, resp *tdmroute.Response, err error) {
 			}
 		}
 	}
-	var row *exp.PerfRow
-	if resp != nil && resp.Solution != nil && !j.started.IsZero() {
-		if r, rerr := exp.RowFromResponse(j.req.Instance.Name, resp, time.Since(j.started)); rerr == nil {
-			row = &r
+	var tel *Telemetry
+	if resp != nil && resp.Solution != nil {
+		if sum, derr := solutionDigest(resp.Solution); derr == nil {
+			tel = &Telemetry{SolutionSHA256: sum}
 		}
 	}
-	if !j.finish(state, resp, err, row) {
+	if !j.finish(state, resp, err, tel) {
 		return
 	}
 	s.Observe(state, resp != nil && resp.Degraded != nil)

@@ -150,7 +150,7 @@ func solveBaseSession(ctx context.Context, in *Instance, opt Options, rs *route.
 			userCapture(l)
 		}
 	}
-	assign, rep, times, stage, err := assignTimedSession(ctx, ts, in, routes, nil, topt)
+	assign, rep, times, stage, err := assignTimed(ctx, sessionLR(ts, nil), in, routes, topt)
 	res.Times.LR = times.LR
 	res.Times.LegalRefine = times.LegalRefine
 	if err != nil {
@@ -208,7 +208,7 @@ func feedbackRoundSession(ctx context.Context, in *Instance, res *Response, opt 
 	// inside a retained warm handle, while delta group edits mutate the
 	// instance's slices in place.
 	*stale = append([]int(nil), members...)
-	assign, rep, times, _, err := assignTimedSession(ctx, ts, in, candidate, members, topt)
+	assign, rep, times, _, err := assignTimed(ctx, sessionLR(ts, members), in, candidate, topt)
 	res.Times.LR += times.LR
 	res.Times.LegalRefine += times.LegalRefine
 	if err != nil {
@@ -225,41 +225,6 @@ func feedbackRoundSession(ctx context.Context, in *Instance, res *Response, opt 
 	*lambda = captured
 	*stale = nil
 	return true, nil
-}
-
-// assignTimedSession is assignTimed over the shared TDM session: LR runs on
-// the incrementally patched state (changed per the tdm.Session contract),
-// legalization and refinement are the stock Finish.
-func assignTimedSession(ctx context.Context, ts *tdm.Session, in *Instance, routes Routing, changed []int, opt TDMOptions) (Assignment, Report, StageTimes, Stage, error) {
-	var times StageTimes
-	t0 := time.Now()
-	relaxed, z, lb, iters, converged, stopped := ts.RunLR(ctx, routes, changed, opt)
-	times.LR = time.Since(t0)
-	if relaxed == nil {
-		// No legalizable incumbent: even the bounded fallback pass failed.
-		return Assignment{}, Report{}, times, StageLR, stopped
-	}
-
-	t1 := time.Now()
-	assign, rep, err := tdm.Finish(ctx, in, routes, relaxed, opt)
-	times.LegalRefine = time.Since(t1)
-	if err != nil {
-		return Assignment{}, Report{}, times, StageRefine, err
-	}
-
-	rep.Iterations = iters
-	rep.Converged = converged
-	rep.LowerBound = lb
-	rep.RelaxedZ = z
-	var stage Stage
-	switch {
-	case stopped != nil:
-		stage = StageLR
-		rep.Interrupted = stopped
-	case rep.Interrupted != nil:
-		stage = StageRefine
-	}
-	return assign, rep, times, stage, nil
 }
 
 // isInterruption reports whether err is an anytime-stop cause — context

@@ -236,7 +236,7 @@ func feedbackRoundCold(ctx context.Context, in *Instance, res *Response, opt Opt
 	topt.WarmLambda = *lambda
 	var captured []float64
 	topt.CaptureLambda = func(l []float64) { captured = l }
-	assign, rep, times, _, err := assignTimed(ctx, in, candidate, topt)
+	assign, rep, times, _, err := assignTimed(ctx, tdm.RunLR, in, candidate, topt)
 	res.Times.LR += times.LR
 	res.Times.LegalRefine += times.LegalRefine
 	if err != nil {

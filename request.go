@@ -8,6 +8,8 @@ import (
 	"math"
 	"strconv"
 	"time"
+
+	"tdmroute/internal/tdm"
 )
 
 // Mode selects what Run executes.
@@ -157,9 +159,8 @@ type Response struct {
 	RoundsKept int
 	// InitialGTR is the single-pass GTR_max before any feedback round.
 	InitialGTR int64
-	// Perf is the schema-2 performance block: per-stage wall seconds, peak
-	// RSS, allocation count, and the rip-up counters, filled by Run for
-	// every mode.
+	// Perf holds the process-level counters of the solve (peak RSS,
+	// allocation count), filled by Run for every mode.
 	Perf Perf
 	// Warm is the retained warm state when the request asked for it
 	// (Request.Retain) and after every successful ModeDelta solve (the same
@@ -194,12 +195,7 @@ func Run(ctx context.Context, req Request) (*Response, error) {
 	allocs0 := heapAllocs()
 	resp, err := dispatch(ctx, req)
 	if resp != nil {
-		resp.Perf = perfFromTimes(resp.Times)
-		resp.Perf.Allocs = heapAllocs() - allocs0
-		resp.Perf.PeakRSSBytes = peakRSSBytes()
-		resp.Perf.RippedNets = resp.RouteStats.RippedNets
-		resp.Perf.RevertedRounds = resp.RouteStats.RevertedRound
-		resp.Perf.LRIterations = resp.Report.Iterations
+		resp.Perf = Perf{Allocs: heapAllocs() - allocs0, PeakRSSBytes: peakRSSBytes()}
 	}
 	return resp, err
 }
@@ -250,7 +246,7 @@ func runAssignOnly(ctx context.Context, req Request) (*Response, error) {
 		return nil, fmt.Errorf("tdmroute: routing has %d nets, instance has %d",
 			len(req.Routing), len(req.Instance.Nets))
 	}
-	assign, rep, times, stage, err := assignTimed(ctx, req.Instance, req.Routing, req.Options.TDM)
+	assign, rep, times, stage, err := assignTimed(ctx, tdm.RunLR, req.Instance, req.Routing, req.Options.TDM)
 	if err != nil {
 		return nil, err
 	}
@@ -350,8 +346,10 @@ func (req Request) wireProgress() Request {
 const responseSchemaVersion = 2
 
 // The JSON schema of a Response. Stage walls are fractional milliseconds;
-// the solution itself is summarized, not embedded (fetch it through the
-// solution writers or the server's /solution endpoint).
+// the "perf" block repeats them in seconds next to the work counters, all
+// derived from the same Response fields. The solution itself is summarized,
+// not embedded (fetch it through the solution writers or the server's
+// /solution endpoint).
 type responseJSON struct {
 	SchemaVersion int              `json:"schema_version"`
 	Mode          string           `json:"mode"`
@@ -445,15 +443,15 @@ func (r *Response) MarshalJSON() ([]byte, error) {
 			TotalMS:       durMS(r.Times.Total()),
 		},
 		Perf: &perfJSON{
-			RouteSec:       r.Perf.RouteSec,
-			LRSec:          r.Perf.LRSec,
-			LegalRefineSec: r.Perf.LegalRefineSec,
-			TotalSec:       r.Perf.TotalSec,
+			RouteSec:       durSec(r.Times.Route),
+			LRSec:          durSec(r.Times.LR),
+			LegalRefineSec: durSec(r.Times.LegalRefine),
+			TotalSec:       durSec(r.Times.Total()),
 			PeakRSSBytes:   r.Perf.PeakRSSBytes,
 			Allocs:         r.Perf.Allocs,
-			RippedNets:     r.Perf.RippedNets,
-			RevertedRounds: r.Perf.RevertedRounds,
-			LRIterations:   r.Perf.LRIterations,
+			RippedNets:     r.RouteStats.RippedNets,
+			RevertedRounds: r.RouteStats.RevertedRound,
+			LRIterations:   r.Report.Iterations,
 		},
 		RoundsRun:  r.RoundsRun,
 		RoundsKept: r.RoundsKept,
@@ -482,17 +480,27 @@ func (r *Response) MarshalJSON() ([]byte, error) {
 	return json.Marshal(out)
 }
 
-// durMS converts a duration to fractional milliseconds.
+// durMS converts a duration to fractional milliseconds of whole
+// microseconds, the wire resolution of every stage wall.
 func durMS(d time.Duration) float64 {
 	return float64(d.Microseconds()) / 1000
 }
 
+// durSec is durMS in seconds: both count the same whole microseconds, so a
+// decoded and re-encoded Response carries the same "perf" bytes.
+func durSec(d time.Duration) float64 {
+	return float64(d.Microseconds()) / 1e6
+}
+
 // UnmarshalJSON is the inverse of MarshalJSON as far as the wire schema
 // allows: the tdmroutd client reconstructs a Response from the server's
-// JSON. Error causes come back as opaque messages (errors.Is identity does
-// not survive the wire), and the solution summary is dropped — the full
-// solution travels through the server's solution endpoint instead, so
-// Solution is nil on a decoded Response.
+// JSON. Each fact is read from one place: stage walls from "times", work
+// counters from "report" and "route_stats", and only the process counters
+// from "perf" (its other keys are derived on encode). Error causes come
+// back as opaque messages (errors.Is identity does not survive the wire),
+// and the solution summary is dropped — the full solution travels through
+// the server's solution endpoint instead, so Solution is nil on a decoded
+// Response.
 func (r *Response) UnmarshalJSON(data []byte) error {
 	var in responseJSON
 	if err := json.Unmarshal(data, &in); err != nil {
@@ -535,17 +543,7 @@ func (r *Response) UnmarshalJSON(data []byte) error {
 		InitialGTR: in.InitialGTR,
 	}
 	if p := in.Perf; p != nil { // absent in v1 payloads
-		r.Perf = Perf{
-			RouteSec:       p.RouteSec,
-			LRSec:          p.LRSec,
-			LegalRefineSec: p.LegalRefineSec,
-			TotalSec:       p.TotalSec,
-			PeakRSSBytes:   p.PeakRSSBytes,
-			Allocs:         p.Allocs,
-			RippedNets:     p.RippedNets,
-			RevertedRounds: p.RevertedRounds,
-			LRIterations:   p.LRIterations,
-		}
+		r.Perf = Perf{PeakRSSBytes: p.PeakRSSBytes, Allocs: p.Allocs}
 	}
 	if in.Report.Interrupted != "" {
 		r.Report.Interrupted = errors.New(in.Report.Interrupted)
@@ -564,15 +562,17 @@ func (r *Response) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// msDuration converts wire milliseconds back to a duration, saturating
-// instead of overflowing (the conversion is platform-defined past int64).
+// msDuration converts wire milliseconds back to a duration of whole
+// microseconds, the resolution durMS writes. Rounding, not truncating,
+// makes the decode exact: 1.001 ms is 1000.9999999999999 µs in float64.
+// Values past 2^51 µs (about 71 years) saturate instead of overflowing (the
+// conversion is platform-defined past int64), and three saturated stage
+// walls still sum to a valid Total.
 func msDuration(v float64) time.Duration {
-	const maxMS = float64(1 << 52)
-	if math.IsNaN(v) || v <= 0 {
+	const maxUS = float64(1 << 51)
+	us := math.Round(v * 1000)
+	if math.IsNaN(us) || us <= 0 {
 		return 0
 	}
-	if v > maxMS {
-		v = maxMS
-	}
-	return time.Duration(v * float64(time.Millisecond))
+	return time.Duration(math.Min(us, maxUS)) * time.Microsecond
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -185,11 +186,7 @@ func TestResponseMarshalJSONGolden(t *testing.T) {
 		RoundsRun:  2,
 		RoundsKept: 1,
 		InitialGTR: 16,
-		Perf: Perf{
-			RouteSec: 0.0015, LRSec: 0.00225, LegalRefineSec: 0.00025, TotalSec: 0.004,
-			PeakRSSBytes: 1048576, Allocs: 12345,
-			RippedNets: 5, RevertedRounds: 1, LRIterations: 41,
-		},
+		Perf:       Perf{PeakRSSBytes: 1048576, Allocs: 12345},
 	}
 	got, err := json.Marshal(resp)
 	if err != nil {
@@ -296,17 +293,14 @@ func TestResponseJSONRoundTrip(t *testing.T) {
 		Times: StageTimes{
 			Route:       1500 * time.Microsecond,
 			LR:          2250 * time.Microsecond,
-			LegalRefine: 250 * time.Microsecond,
+			LegalRefine: 1001 * time.Microsecond,
 		},
 		Degraded: &Degraded{
 			Stage: StageFeedback, Cause: context.Canceled,
 			LRIterations: 41, FeedbackRounds: 2, IncumbentGTR: 14,
 		},
 		RoundsRun: 2, RoundsKept: 1, InitialGTR: 16,
-		Perf: Perf{
-			RouteSec: 0.0015, LRSec: 0.00225, LegalRefineSec: 0.00025, TotalSec: 0.004,
-			PeakRSSBytes: 2097152, Allocs: 999, RippedNets: 5, RevertedRounds: 1, LRIterations: 41,
-		},
+		Perf: Perf{PeakRSSBytes: 2097152, Allocs: 999},
 	}
 	wire, err := json.Marshal(resp)
 	if err != nil {
@@ -323,8 +317,8 @@ func TestResponseJSONRoundTrip(t *testing.T) {
 	if string(wire) != string(again) {
 		t.Errorf("round trip diverged:\n out: %s\nback: %s", wire, again)
 	}
-	if back.Times.LR != resp.Times.LR {
-		t.Errorf("Times.LR = %v, want %v", back.Times.LR, resp.Times.LR)
+	if back.Times != resp.Times {
+		t.Errorf("Times = %+v, want %+v", back.Times, resp.Times)
 	}
 	if back.Degraded == nil || back.Degraded.Cause == nil ||
 		back.Degraded.Cause.Error() != context.Canceled.Error() {
@@ -332,6 +326,33 @@ func TestResponseJSONRoundTrip(t *testing.T) {
 	}
 	if back.Perf != resp.Perf {
 		t.Errorf("Perf did not survive the round trip: %+v vs %+v", back.Perf, resp.Perf)
+	}
+}
+
+// TestMSDurationWholeMicros sweeps whole-microsecond stage walls through
+// the wire conversion: every wall decodes to the microseconds it was
+// encoded from, so a relay that decodes and re-encodes a Response (the
+// coordinator does, for every job it proxies) passes the same times on.
+func TestMSDurationWholeMicros(t *testing.T) {
+	check := func(us int64) {
+		d := time.Duration(us) * time.Microsecond
+		if got := durMS(msDuration(durMS(d))); got != durMS(d) {
+			t.Fatalf("%d µs: %v ms decodes and re-encodes as %v ms", us, durMS(d), got)
+		}
+	}
+	for us := int64(0); us < 5_000_000; us++ {
+		check(us)
+	}
+	for us := int64(1) << 40; us < 1<<40+1000; us++ {
+		check(us)
+	}
+	if sat := (StageTimes{msDuration(math.Inf(1)), msDuration(1e300), msDuration(1e300)}); sat.Route <= 0 || sat.Total() <= 0 {
+		t.Errorf("saturated walls %+v total %v, want positive durations", sat, sat.Total())
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(-1), -1, 0} {
+		if got := msDuration(v); got != 0 {
+			t.Errorf("msDuration(%v) = %v, want 0", v, got)
+		}
 	}
 }
 

@@ -231,7 +231,7 @@ func runSingle(ctx context.Context, in *Instance, opt Options) (*Response, error
 	res.RouteStats = rstats
 	routeCurtailed := ctx.Err() != nil
 
-	assign, rep, times, stage, err := assignTimed(ctx, in, routes, opt.TDM)
+	assign, rep, times, stage, err := assignTimed(ctx, tdm.RunLR, in, routes, opt.TDM)
 	res.Times.LR = times.LR
 	res.Times.LegalRefine = times.LegalRefine
 	if err != nil {
@@ -246,17 +246,30 @@ func runSingle(ctx context.Context, in *Instance, opt Options) (*Response, error
 	return res, nil
 }
 
-// assignTimed splits the assignment stage into the LR and
-// legalization+refinement timings needed by the Fig. 3(a) breakdown. The
-// returned stage is "" for a complete run, or the stage the interruption
-// curtailed (StageLR or StageRefine); both stage timers are populated even
-// on the error path so callers can fold partial work into their totals.
-func assignTimed(ctx context.Context, in *Instance, routes Routing, opt TDMOptions) (Assignment, Report, StageTimes, Stage, error) {
+// lrStep is the LR stage of an assignment, shaped like tdm.RunLR: the cold
+// pipelines pass tdm.RunLR itself, the session pipelines sessionLR.
+type lrStep func(ctx context.Context, in *Instance, routes Routing, opt TDMOptions) (relaxed [][]float64, z, lb float64, iters int, converged bool, stopped error)
+
+// sessionLR is the lrStep of a shared TDM session: LR runs on the
+// incrementally patched state (changed per the tdm.Session contract).
+func sessionLR(ts *tdm.Session, changed []int) lrStep {
+	return func(ctx context.Context, _ *Instance, routes Routing, opt TDMOptions) ([][]float64, float64, float64, int, bool, error) {
+		return ts.RunLR(ctx, routes, changed, opt)
+	}
+}
+
+// assignTimed runs the assignment stage — lr, then the stock legalization
+// and refinement — and splits it into the LR and legalization+refinement
+// timings needed by the Fig. 3(a) breakdown. The returned stage is "" for a
+// complete run, or the stage the interruption curtailed (StageLR or
+// StageRefine); both stage timers are populated even on the error path so
+// callers can fold partial work into their totals.
+func assignTimed(ctx context.Context, lr lrStep, in *Instance, routes Routing, opt TDMOptions) (Assignment, Report, StageTimes, Stage, error) {
 	var times StageTimes
 	t0 := time.Now()
 	// Run LR and legalization separately from tdm.Assign so the two
 	// timers can be split; tdm.Assign composes the same calls.
-	relaxed, z, lb, iters, converged, stopped := tdm.RunLR(ctx, in, routes, opt)
+	relaxed, z, lb, iters, converged, stopped := lr(ctx, in, routes, opt)
 	times.LR = time.Since(t0)
 	if relaxed == nil {
 		// No legalizable incumbent: even the bounded fallback pass failed.
