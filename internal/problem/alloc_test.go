@@ -133,3 +133,39 @@ func TestParseAllocs(t *testing.T) {
 		t.Errorf("ParseSolution allocates %.3f objects per added net, want at most 1/16", g)
 	}
 }
+
+// TestEdgeLoadsAllocs pins the slab layout of the edge-load index: a fixed
+// number of allocations (the counts, the row headers and one backing slab)
+// whatever the number of nets and used edges.
+func TestEdgeLoadsAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	sizes := []int{40, 4000}
+	var counts []float64
+	for _, edges := range sizes {
+		routes := make(Routing, 4*edges)
+		for n := range routes {
+			for k := 0; k <= n%3; k++ {
+				routes[n] = append(routes[n], (n+k)%edges)
+			}
+		}
+		counts = append(counts, testing.AllocsPerRun(20, func() { EdgeLoads(edges, routes) }))
+	}
+	if counts[0] != counts[1] || counts[1] > 3 {
+		t.Errorf("EdgeLoads allocates %v objects at %v used edges, want the same count, at most 3", counts, sizes)
+	}
+}
+
+// TestEdgeLoadsRowsCapacityClamped appends to one edge's row and requires
+// the next used edge's row, carved from the same slab, to be unchanged.
+func TestEdgeLoadsRowsCapacityClamped(t *testing.T) {
+	loads := EdgeLoads(3, Routing{{0, 1}, {1, 2}, {0}})
+	next := append([]EdgeLoad(nil), loads[1]...)
+	loads[0] = append(loads[0], EdgeLoad{Net: 99, Pos: 99})
+	for i, l := range next {
+		if loads[1][i] != l {
+			t.Fatalf("append to edge 0's row overwrote edge 1's: %v, want %v", loads[1], next)
+		}
+	}
+}

@@ -115,10 +115,18 @@ func EdgeLoads(numEdges int, r Routing) [][]EdgeLoad {
 			counts[e]++
 		}
 	}
+	var total int
+	for _, c := range counts {
+		total += c
+	}
+	// Carve every row from one slab, capacity-clamped so the appends below
+	// fill it in place and a caller's append reallocates instead of
+	// spilling into the next row. Unused edges keep a nil row.
 	loads := make([][]EdgeLoad, numEdges)
+	backing := make([]EdgeLoad, total)
 	for e, c := range counts {
 		if c > 0 {
-			loads[e] = make([]EdgeLoad, 0, c)
+			loads[e], backing = backing[:0:c], backing[c:]
 		}
 	}
 	for n, edges := range r {

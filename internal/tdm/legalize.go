@@ -7,13 +7,29 @@ import "tdmroute/internal/problem"
 // ratio lowers its reciprocal, so if the relaxed per-edge reciprocal sums
 // were at most 1 the legalized ones are too.
 func Legalize(relaxed [][]float64) [][]int64 {
-	out := make([][]int64, len(relaxed))
+	out := ratioRows(relaxed)
 	for n, ts := range relaxed {
-		row := make([]int64, len(ts))
+		row := out[n]
 		for k, t := range ts {
 			row[k] = legalizeRatio(t)
 		}
-		out[n] = row
+	}
+	return out
+}
+
+// ratioRows returns rows shaped like relaxed, carved from one backing slab:
+// two allocations per call instead of one per net. Each row's capacity is
+// clamped to its length, so an append to a row reallocates it instead of
+// spilling into the next.
+func ratioRows(relaxed [][]float64) [][]int64 {
+	var total int
+	for _, ts := range relaxed {
+		total += len(ts)
+	}
+	out := make([][]int64, len(relaxed))
+	backing := make([]int64, total)
+	for n, ts := range relaxed {
+		out[n], backing = backing[:len(ts):len(ts)], backing[len(ts):]
 	}
 	return out
 }
@@ -38,13 +54,12 @@ func legalizeRatio(t float64) int64 { return problem.EvenCeilRatio(t) }
 // objective quality for schedulability; the ablation benchmarks quantify
 // the cost.
 func LegalizePow2(relaxed [][]float64) [][]int64 {
-	out := make([][]int64, len(relaxed))
+	out := ratioRows(relaxed)
 	for n, ts := range relaxed {
-		row := make([]int64, len(ts))
+		row := out[n]
 		for k, t := range ts {
 			row[k] = legalizeRatioPow2(t)
 		}
-		out[n] = row
 	}
 	return out
 }

@@ -165,3 +165,47 @@ func TestRefineEdgeHugeRatios(t *testing.T) {
 		}
 	}
 }
+
+// TestLegalizeAllocs pins the slab layout of both legalizers: a legalized
+// assignment is two allocations (the row headers and one backing slab)
+// whatever the number of nets.
+func TestLegalizeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed by the race detector")
+	}
+	for name, legalize := range map[string]func([][]float64) [][]int64{
+		"Legalize": Legalize, "LegalizePow2": LegalizePow2,
+	} {
+		var counts []float64
+		for _, nets := range []int{100, 10000} {
+			relaxed := make([][]float64, nets)
+			for n := range relaxed {
+				relaxed[n] = make([]float64, 1+n%4)
+				for k := range relaxed[n] {
+					relaxed[n][k] = 2.5 + float64(k)
+				}
+			}
+			counts = append(counts, testing.AllocsPerRun(20, func() { legalize(relaxed) }))
+		}
+		if counts[0] != counts[1] || counts[1] > 2 {
+			t.Errorf("%s allocates %v objects at 100 and 10000 nets, want the same count, at most 2", name, counts)
+		}
+	}
+}
+
+// TestLegalizeRowsCapacityClamped appends to one legalized row and requires
+// the next row, carved from the same slab, to be unchanged.
+func TestLegalizeRowsCapacityClamped(t *testing.T) {
+	relaxed := [][]float64{{3, 5}, {7, 9, 11}}
+	for name, out := range map[string][][]int64{
+		"Legalize": Legalize(relaxed), "LegalizePow2": LegalizePow2(relaxed),
+	} {
+		next := append([]int64(nil), out[1]...)
+		out[0] = append(out[0], 1<<40)
+		for k, v := range next {
+			if out[1][k] != v {
+				t.Fatalf("%s: append to row 0 overwrote row 1: %v, want %v", name, out[1], next)
+			}
+		}
+	}
+}
