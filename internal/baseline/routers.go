@@ -33,37 +33,33 @@ type kmbRouter struct {
 	dij     *graph.Dijkstra
 	cleaner *graph.SteinerCleaner
 
-	usage    []uint32 // nets currently routed per edge
-	history  []uint32 // PathFinder history cost
-	ownStamp []uint32
-	ownEpoch uint32
+	usage   []uint32 // nets currently routed per edge
+	history []uint32 // PathFinder history cost
+	costs   []uint64 // search cost of the net being routed
 }
 
 func newKMBRouter(in *problem.Instance) *kmbRouter {
 	return &kmbRouter{
-		in:       in,
-		apsp:     graph.NewAPSP(in.G),
-		dij:      graph.NewDijkstra(in.G),
-		cleaner:  graph.NewSteinerCleaner(in.G),
-		usage:    make([]uint32, in.G.NumEdges()),
-		history:  make([]uint32, in.G.NumEdges()),
-		ownStamp: make([]uint32, in.G.NumEdges()),
+		in:      in,
+		apsp:    graph.NewAPSP(in.G),
+		dij:     graph.NewDijkstra(in.G),
+		cleaner: graph.NewSteinerCleaner(in.G),
+		usage:   make([]uint32, in.G.NumEdges()),
+		history: make([]uint32, in.G.NumEdges()),
+		costs:   make([]uint64, in.G.NumEdges()),
 	}
 }
 
-// routeNet embeds net n under costFn and returns its Steiner tree without
-// touching usage counters.
-func (r *kmbRouter) routeNet(n int, costFn graph.EdgeCostFunc) ([]int, error) {
+// routeNet embeds net n with edge e costing edgeCost(e), except that the
+// net's own edges are free once a path has claimed them, and returns its
+// Steiner tree without touching usage counters.
+func (r *kmbRouter) routeNet(n int, edgeCost func(e int) uint64) ([]int, error) {
 	terms := r.in.Nets[n].Terminals
 	if len(terms) <= 1 {
 		return nil, nil
 	}
-	r.ownEpoch++
-	if r.ownEpoch == 0 {
-		for i := range r.ownStamp {
-			r.ownStamp[i] = 0
-		}
-		r.ownEpoch = 1
+	for e := range r.costs {
+		r.costs[e] = edgeCost(e)
 	}
 	k := len(terms)
 	edges := make([]graph.WeightedEdge, 0, k*(k-1)/2)
@@ -82,12 +78,12 @@ func (r *kmbRouter) routeNet(n int, costFn graph.EdgeCostFunc) ([]int, error) {
 	for _, me := range mst {
 		start := len(union)
 		var ok bool
-		union, _, ok = r.dij.ShortestPath(terms[me.U], terms[me.V], costFn, union)
+		union, ok = r.dij.ShortestPath(terms[me.U], terms[me.V], r.costs, union)
 		if !ok {
 			return nil, fmt.Errorf("baseline: net %d: no path", n)
 		}
 		for _, e := range union[start:] {
-			r.ownStamp[e] = r.ownEpoch
+			r.costs[e] = 0
 		}
 	}
 	tree, ok := r.cleaner.Clean(union, terms)
@@ -102,12 +98,7 @@ func (r *kmbRouter) routeNet(n int, costFn graph.EdgeCostFunc) ([]int, error) {
 // NetGroup awareness.
 func RouteShortestPath(in *problem.Instance) (problem.Routing, error) {
 	r := newKMBRouter(in)
-	costFn := func(e int) uint64 {
-		if r.ownStamp[e] == r.ownEpoch {
-			return 0
-		}
-		return uint64(r.usage[e])
-	}
+	costFn := func(e int) uint64 { return uint64(r.usage[e]) }
 	routes := make(problem.Routing, len(in.Nets))
 	for n := range in.Nets {
 		tree, err := r.routeNet(n, costFn)
@@ -129,9 +120,6 @@ func RouteShortestPath(in *problem.Instance) (problem.Routing, error) {
 func RouteCongestion(in *problem.Instance) (problem.Routing, error) {
 	r := newKMBRouter(in)
 	costFn := func(e int) uint64 {
-		if r.ownStamp[e] == r.ownEpoch {
-			return 0
-		}
 		u := uint64(r.usage[e])
 		return u * u
 	}
@@ -161,9 +149,6 @@ func RoutePathFinder(in *problem.Instance) (problem.Routing, error) {
 	r := newKMBRouter(in)
 	routes := make(problem.Routing, len(in.Nets))
 	costFn := func(e int) uint64 {
-		if r.ownStamp[e] == r.ownEpoch {
-			return 0
-		}
 		//lint:ignore satarith usage <= |nets| and history <= PathFinderIterations*|nets|, so the biased product stays far below 2^64 for any instance that fits in memory
 		return (1 + uint64(r.history[e])) * (1 + uint64(r.usage[e]))
 	}

@@ -140,6 +140,10 @@ func randomTiny(rng *rand.Rand) (*problem.Instance, problem.Routing) {
 	nets := make([]problem.Net, nn)
 	routes := make(problem.Routing, nn)
 	d := graph.NewDijkstra(g)
+	unit := make([]uint64, g.NumEdges())
+	for e := range unit {
+		unit[e] = 1
+	}
 	for i := 0; i < nn; i++ {
 		u := rng.Intn(nv)
 		v := rng.Intn(nv)
@@ -147,7 +151,7 @@ func randomTiny(rng *rand.Rand) (*problem.Instance, problem.Routing) {
 			v = rng.Intn(nv)
 		}
 		nets[i].Terminals = []int{u, v}
-		path, _, _ := d.ShortestPath(u, v, func(int) uint64 { return 1 }, nil)
+		path, _ := d.ShortestPath(u, v, unit, nil)
 		routes[i] = path
 	}
 	ng := 1 + rng.Intn(3)

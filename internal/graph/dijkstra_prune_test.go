@@ -5,74 +5,83 @@ import (
 	"testing"
 )
 
-// referenceShortestPath is an exhaustive (prune-free) search loop kept as an
-// executable specification of the canonical tie contract: every relaxation
-// that reaches a vertex at exactly its best-known cost lowers the recorded
-// predecessor edge to the smaller id. The paths it reconstructs are a pure
-// function of (graph, costs, src, dst) — independent of queue discipline —
-// so the production engine (a radix queue with target pruning) must
-// reproduce it byte for byte. Routing results (and therefore solution files)
-// depend on which of two equal-cost paths wins, which makes this the
-// byte-identity contract of the whole routing stage. The reference borrows
-// d's dist/prev bookkeeping but orders its frontier with its own binary
-// heap, so no part of the radix queue is under test on both sides.
-func referenceShortestPath(d *Dijkstra, src, dst int, costFn EdgeCostFunc, pathBuf []int) ([]int, Cost, bool) {
+// referenceShortestPath is an exhaustive (prune-free) textbook search kept
+// as an executable specification of the canonical tie contract: every
+// relaxation that reaches a vertex at exactly its best-known cost lowers the
+// recorded predecessor edge to the smaller id. The paths it reconstructs are
+// a pure function of (graph, costs, src, dst) — independent of queue
+// discipline — so the production engine (packed keys in a radix queue, a
+// CSR snapshot, target pruning, no settled set) must reproduce it byte for
+// byte. Routing results (and therefore solution files) depend on which of
+// two equal-cost paths wins, which makes this the byte-identity contract of
+// the whole routing stage. The reference keeps its own dist/prev/done arrays
+// over the graph's own adjacency, compares lexicographic Cost values, and
+// orders its frontier with a binary heap, so no part of the engine's
+// bookkeeping is under test on both sides.
+func referenceShortestPath(g *Graph, src, dst int, cost []uint64) ([]int, bool) {
 	if src == dst {
-		return pathBuf, Cost{}, true
+		return nil, true
 	}
-	d.reset()
-	d.visit(src, Cost{}, -1)
+	n := g.NumVertices()
+	dist := make([]Cost, n)
+	prev := make([]int, n)
+	done := make([]bool, n)
+	for i := range dist {
+		dist[i] = InfCost
+		prev[i] = -1
+	}
+	dist[src] = Cost{}
 	heap := dijkstraHeap{{vertex: src}}
-
-	found := false
-	for len(heap) > 0 {
-		it := heap.pop()
-		u := it.vertex
-		if d.done[u] {
+	for len(heap) > 0 && !done[dst] {
+		u := heap.pop().vertex
+		if done[u] {
 			continue
 		}
-		d.done[u] = true
-		if u == dst {
-			found = true
-			break
-		}
-		du := d.dist[u]
-		for _, arc := range d.g.Adj(u) {
-			if d.done[arc.To] {
+		done[u] = true
+		for _, arc := range g.Adj(u) {
+			if done[arc.To] {
 				continue
 			}
-			nc := du.Add(costFn(arc.Edge))
-			if nc.Less(d.dist[arc.To]) {
-				d.visit(arc.To, nc, int32(arc.Edge))
+			nc := dist[u].Add(cost[arc.Edge])
+			if nc.Less(dist[arc.To]) {
+				dist[arc.To] = nc
+				prev[arc.To] = arc.Edge
 				heap.push(dijkstraItem{vertex: arc.To, cost: nc})
-			} else if nc == d.dist[arc.To] && d.prevEdge[arc.To] >= 0 && int32(arc.Edge) < d.prevEdge[arc.To] {
-				d.prevEdge[arc.To] = int32(arc.Edge)
+			} else if nc == dist[arc.To] && arc.Edge < prev[arc.To] {
+				prev[arc.To] = arc.Edge
 			}
 		}
 	}
-	if !found {
-		return pathBuf, InfCost, false
+	if !done[dst] {
+		return nil, false
 	}
+	var path []int
+	for v := dst; v != src; v = g.Edge(prev[v]).Other(v) {
+		path = append(path, prev[v])
+	}
+	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
+		path[i], path[j] = path[j], path[i]
+	}
+	return path, true
+}
 
-	total := d.dist[dst]
-	start := len(pathBuf)
-	for v := dst; v != src; {
-		eid := d.prevEdge[v]
-		pathBuf = append(pathBuf, int(eid))
-		v = d.g.Edge(int(eid)).Other(v)
+// pathCost sums the lexicographic cost of a returned path, the figure a
+// search used to report alongside it.
+func pathCost(path []int, cost []uint64) Cost {
+	var c Cost
+	for _, e := range path {
+		c = c.Add(cost[e])
 	}
-	for i, j := start, len(pathBuf)-1; i < j; i, j = i+1, j-1 {
-		pathBuf[i], pathBuf[j] = pathBuf[j], pathBuf[i]
-	}
-	return pathBuf, total, true
+	return c
 }
 
 // checkAgainstReference drives the production engine and the reference loop
 // over the same query and demands identical paths — not merely equal costs.
-func checkAgainstReference(t *testing.T, label string, eng, ref *Dijkstra, src, dst int, costFn EdgeCostFunc) {
+func checkAgainstReference(t *testing.T, label string, eng *Dijkstra, src, dst int, cost []uint64) {
 	t.Helper()
-	gotPath, gotCost, gotOK := eng.ShortestPath(src, dst, costFn, nil)
-	wantPath, wantCost, wantOK := referenceShortestPath(ref, src, dst, costFn, nil)
+	gotPath, gotOK := eng.ShortestPath(src, dst, cost, nil)
+	wantPath, wantOK := referenceShortestPath(eng.g, src, dst, cost)
+	gotCost, wantCost := pathCost(gotPath, cost), pathCost(wantPath, cost)
 	if gotOK != wantOK || gotCost != wantCost {
 		t.Fatalf("%s %d->%d: (cost=%+v ok=%v), want (cost=%+v ok=%v)",
 			label, src, dst, gotCost, gotOK, wantCost, wantOK)
@@ -100,10 +109,9 @@ func TestDijkstraPruneMatchesReference(t *testing.T) {
 		for i := range usage {
 			usage[i] = uint64(rng.Intn(3)) // small range: force ties
 		}
-		costFn := func(e int) uint64 { return usage[e] }
-		eng, ref := NewDijkstra(g), NewDijkstra(g)
+		eng := NewDijkstra(g)
 		for q := 0; q < 60; q++ {
-			checkAgainstReference(t, "radix", eng, ref, rng.Intn(n), rng.Intn(n), costFn)
+			checkAgainstReference(t, "radix", eng, rng.Intn(n), rng.Intn(n), usage)
 		}
 	}
 }
@@ -128,10 +136,9 @@ func TestDijkstraLargeCostsMatchReference(t *testing.T) {
 				usage[i] = uint64(rng.Int63n(int64(big) + 1))
 			}
 		}
-		costFn := func(e int) uint64 { return usage[e] }
-		eng, ref := NewDijkstra(g), NewDijkstra(g)
+		eng := NewDijkstra(g)
 		for q := 0; q < 60; q++ {
-			checkAgainstReference(t, "radix-2^40", eng, ref, rng.Intn(n), rng.Intn(n), costFn)
+			checkAgainstReference(t, "radix-2^40", eng, rng.Intn(n), rng.Intn(n), usage)
 		}
 	}
 }
@@ -167,12 +174,11 @@ func TestRadixPackBounds(t *testing.T) {
 func TestDijkstraGridPruneMatchesReference(t *testing.T) {
 	g := grid(12, 12)
 	usage := make([]uint64, g.NumEdges())
-	costFn := func(e int) uint64 { return usage[e] }
-	eng, ref := NewDijkstra(g), NewDijkstra(g)
+	eng := NewDijkstra(g)
 	n := g.NumVertices()
 	rng := rand.New(rand.NewSource(34))
 	for q := 0; q < 200; q++ {
-		checkAgainstReference(t, "radix", eng, ref, rng.Intn(n), rng.Intn(n), costFn)
+		checkAgainstReference(t, "radix", eng, rng.Intn(n), rng.Intn(n), usage)
 	}
 }
 
@@ -185,20 +191,107 @@ func TestDijkstraSearchZeroAlloc(t *testing.T) {
 	}
 	g := grid(20, 20)
 	usage := make([]uint64, g.NumEdges())
-	costFn := func(e int) uint64 { return usage[e] }
 	t.Run("radix", func(t *testing.T) {
 		d := NewDijkstra(g)
 		buf := make([]int, 0, 256)
 		dst := g.NumVertices() - 1
 		// Warm-up queries grow the queue and touched list to steady state.
 		for i := 0; i < 4; i++ {
-			buf, _, _ = d.ShortestPath(0, dst, costFn, buf[:0])
+			buf, _ = d.ShortestPath(0, dst, usage, buf[:0])
 		}
 		allocs := testing.AllocsPerRun(50, func() {
-			buf, _, _ = d.ShortestPath(0, dst, costFn, buf[:0])
+			buf, _ = d.ShortestPath(0, dst, usage, buf[:0])
 		})
 		if allocs != 0 {
 			t.Fatalf("ShortestPath steady state allocates %v objects per run, want 0", allocs)
+		}
+	})
+}
+
+// TestShortestPathCostOverflowPanics pins the overflow contract of both
+// engines on a triangle whose 1–2 edge costs the largest uint64: the path
+// 0-1-2 would wrap to Primary 0 and beat the direct edge of cost 5. Each
+// engine must panic instead, checking before the add. On the line 0-1-2,
+// each edge cost fits the packed key's Primary field but their sum does
+// not, so the radix engine must panic there too rather than carry out of
+// the key.
+func TestShortestPathCostOverflowPanics(t *testing.T) {
+	g := New(3, 3)
+	g.AddEdge(0, 1)
+	g.AddEdge(1, 2)
+	g.AddEdge(0, 2)
+	cost := []uint64{1, ^uint64(0), 5}
+	half := newRadixQueue(3).maxPri/2 + 1
+	for _, c := range []struct {
+		name string
+		run  func()
+	}{
+		{"Dijkstra", func() { NewDijkstra(g).ShortestPath(0, 2, cost, nil) }},
+		{"Mehlhorn", func() { NewMehlhornSolver(g).SteinerTree([]int{0, 2}, cost) }},
+		{"Dijkstra packed range", func() { NewDijkstra(line(3)).ShortestPath(0, 2, []uint64{half, half}, nil) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: overflowing path cost did not panic", c.name)
+				}
+			}()
+			c.run()
+		}()
+	}
+}
+
+// fuzzReader hands out the fuzzer's bytes one at a time, then zeros.
+type fuzzReader []byte
+
+func (r *fuzzReader) next() byte {
+	if len(*r) == 0 {
+		return 0
+	}
+	b := (*r)[0]
+	*r = (*r)[1:]
+	return b
+}
+
+// FuzzShortestPath builds a connected graph (a spanning tree plus parallel
+// edges and self-loops) and edge costs from the fuzzer's bytes, and demands
+// that the engine return the reference's path, edge for edge, on a run of
+// queries through one reused engine. Costs come either from a tiny range,
+// so equal-cost ties are everywhere, or from up to 2^40, the magnitude of
+// the baseline routers' costs.
+func FuzzShortestPath(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{10, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 20, 1, 2, 3, 4, 5, 6, 7})
+	f.Add([]byte{30, 1, 7, 3, 9, 0, 4, 4, 2, 8, 1, 6, 5, 2, 40, 255, 3, 17, 88})
+	f.Add([]byte{25, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 12, 200, 100, 50, 25, 12})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := fuzzReader(data)
+		n := 2 + int(r.next()%40)
+		mode := r.next() % 3
+		g := New(n, 2*n)
+		for v := 1; v < n; v++ {
+			g.AddEdge(int(r.next())%v, v)
+		}
+		for extra := r.next() % 64; extra > 0; extra-- {
+			g.AddEdge(int(r.next())%n, int(r.next())%n)
+		}
+		const big = uint64(1) << 40
+		cost := make([]uint64, g.NumEdges())
+		for e := range cost {
+			switch mode {
+			case 0: // tiny range: ties everywhere
+				cost[e] = uint64(r.next() % 3)
+			case 1: // near 2^40, still tied
+				cost[e] = big - uint64(r.next()%3)
+			default: // arbitrary, below 2^40
+				for i := 0; i < 5; i++ {
+					cost[e] = cost[e]<<8 | uint64(r.next())
+				}
+			}
+		}
+		eng := NewDijkstra(g)
+		for q := 0; q < 16; q++ {
+			checkAgainstReference(t, "fuzz", eng, int(r.next())%n, int(r.next())%n, cost)
 		}
 	})
 }

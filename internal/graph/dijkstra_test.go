@@ -5,25 +5,33 @@ import (
 	"testing"
 )
 
-func unitCost(int) uint64 { return 1 }
+// unitCosts returns a cost slice charging 1 per edge of g.
+func unitCosts(g *Graph) []uint64 {
+	c := make([]uint64, g.NumEdges())
+	for i := range c {
+		c[i] = 1
+	}
+	return c
+}
 
 func TestDijkstraTrivial(t *testing.T) {
 	g := line(4)
 	d := NewDijkstra(g)
-	path, cost, ok := d.ShortestPath(2, 2, unitCost, nil)
-	if !ok || len(path) != 0 || cost != (Cost{}) {
-		t.Errorf("self path: %v %v %v", path, cost, ok)
+	path, ok := d.ShortestPath(2, 2, unitCosts(g), nil)
+	if !ok || len(path) != 0 {
+		t.Errorf("self path: %v %v", path, ok)
 	}
 }
 
 func TestDijkstraLine(t *testing.T) {
 	g := line(5)
 	d := NewDijkstra(g)
-	path, cost, ok := d.ShortestPath(0, 4, unitCost, nil)
+	costs := unitCosts(g)
+	path, ok := d.ShortestPath(0, 4, costs, nil)
 	if !ok {
 		t.Fatal("unreachable")
 	}
-	if cost.Primary != 4 || cost.Hops != 4 {
+	if cost := pathCost(path, costs); cost.Primary != 4 || cost.Hops != 4 {
 		t.Errorf("cost = %+v", cost)
 	}
 	want := []int{0, 1, 2, 3}
@@ -41,12 +49,12 @@ func TestDijkstraUnreachable(t *testing.T) {
 	g := New(3, 1)
 	g.AddEdge(0, 1)
 	d := NewDijkstra(g)
-	_, _, ok := d.ShortestPath(0, 2, unitCost, nil)
+	_, ok := d.ShortestPath(0, 2, unitCosts(g), nil)
 	if ok {
 		t.Error("expected unreachable")
 	}
 	// Engine must remain usable after an unreachable query.
-	path, _, ok := d.ShortestPath(0, 1, unitCost, nil)
+	path, ok := d.ShortestPath(0, 1, unitCosts(g), nil)
 	if !ok || len(path) != 1 {
 		t.Errorf("after unreachable query: path=%v ok=%v", path, ok)
 	}
@@ -59,14 +67,14 @@ func TestDijkstraAvoidsCongestedEdge(t *testing.T) {
 	g.AddEdge(0, 1)
 	g.AddEdge(1, 2)
 	g.AddEdge(2, 3)
-	usage := map[int]uint64{direct: 10}
-	costFn := func(e int) uint64 { return usage[e] }
+	usage := make([]uint64, g.NumEdges())
+	usage[direct] = 10
 	d := NewDijkstra(g)
-	path, cost, ok := d.ShortestPath(0, 3, costFn, nil)
+	path, ok := d.ShortestPath(0, 3, usage, nil)
 	if !ok {
 		t.Fatal("unreachable")
 	}
-	if cost.Primary != 0 || cost.Hops != 3 {
+	if cost := pathCost(path, usage); cost.Primary != 0 || cost.Hops != 3 {
 		t.Errorf("cost = %+v, want free 3-hop path", cost)
 	}
 	for _, e := range path {
@@ -84,11 +92,12 @@ func TestDijkstraLexicographicPrefersFewerHops(t *testing.T) {
 	g.AddEdge(1, 2)
 	g.AddEdge(2, 3)
 	d := NewDijkstra(g)
-	path, cost, ok := d.ShortestPath(0, 3, func(int) uint64 { return 0 }, nil)
+	free := make([]uint64, g.NumEdges())
+	path, ok := d.ShortestPath(0, 3, free, nil)
 	if !ok || len(path) != 1 || path[0] != direct {
 		t.Errorf("path = %v, want direct edge %d", path, direct)
 	}
-	if cost.Hops != 1 {
+	if cost := pathCost(path, free); cost.Hops != 1 {
 		t.Errorf("hops = %d", cost.Hops)
 	}
 }
@@ -101,14 +110,14 @@ func TestDijkstraPathIsValidWalk(t *testing.T) {
 	for i := range usage {
 		usage[i] = uint64(rng.Intn(5))
 	}
-	costFn := func(e int) uint64 { return usage[e] }
 	for trial := 0; trial < 200; trial++ {
 		src, dst := rng.Intn(50), rng.Intn(50)
-		path, cost, ok := d.ShortestPath(src, dst, costFn, nil)
+		path, ok := d.ShortestPath(src, dst, usage, nil)
 		if !ok {
 			t.Fatal("connected graph reported unreachable")
 		}
-		// Walk the path and check contiguity and cost accounting.
+		// Walk the path and check contiguity and cost accounting: the
+		// walked cost must be the optimum.
 		cur := src
 		var prim uint64
 		for _, e := range path {
@@ -118,8 +127,8 @@ func TestDijkstraPathIsValidWalk(t *testing.T) {
 		if cur != dst {
 			t.Fatalf("path does not end at dst: %v", path)
 		}
-		if prim != cost.Primary || int(cost.Hops) != len(path) {
-			t.Fatalf("cost mismatch: reported %+v, walked prim=%d hops=%d", cost, prim, len(path))
+		if want := bellmanFord(g, src, usage)[dst]; prim != want {
+			t.Fatalf("cost mismatch: walked prim=%d, optimum %d", prim, want)
 		}
 	}
 }
@@ -133,16 +142,15 @@ func TestDijkstraMatchesBellmanFordRandom(t *testing.T) {
 		for i := range usage {
 			usage[i] = uint64(rng.Intn(4))
 		}
-		costFn := func(e int) uint64 { return usage[e] }
 		d := NewDijkstra(g)
 		src := rng.Intn(n)
 		want := bellmanFord(g, src, usage)
 		for dst := 0; dst < n; dst++ {
-			_, cost, ok := d.ShortestPath(src, dst, costFn, nil)
+			path, ok := d.ShortestPath(src, dst, usage, nil)
 			if !ok {
 				t.Fatalf("trial %d: unreachable %d->%d", trial, src, dst)
 			}
-			if cost.Primary != want[dst] {
+			if cost := pathCost(path, usage); cost.Primary != want[dst] {
 				t.Fatalf("trial %d: %d->%d primary=%d want %d", trial, src, dst, cost.Primary, want[dst])
 			}
 		}
@@ -181,7 +189,7 @@ func TestDijkstraPathBufAppend(t *testing.T) {
 	g := line(3)
 	d := NewDijkstra(g)
 	buf := []int{42}
-	path, _, ok := d.ShortestPath(0, 2, unitCost, buf)
+	path, ok := d.ShortestPath(0, 2, unitCosts(g), buf)
 	if !ok || len(path) != 3 || path[0] != 42 {
 		t.Errorf("append semantics broken: %v", path)
 	}
@@ -209,11 +217,10 @@ func BenchmarkDijkstraGrid(b *testing.B) {
 	g := grid(20, 20)
 	d := NewDijkstra(g)
 	usage := make([]uint64, g.NumEdges())
-	costFn := func(e int) uint64 { return usage[e] }
 	var buf []int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf = buf[:0]
-		buf, _, _ = d.ShortestPath(0, g.NumVertices()-1, costFn, buf)
+		buf, _ = d.ShortestPath(0, g.NumVertices()-1, usage, buf)
 	}
 }

@@ -44,10 +44,11 @@ func NewMehlhornSolver(g *Graph) *MehlhornSolver {
 }
 
 // SteinerTree returns the edges of a Steiner tree connecting terminals
-// under costFn, or ok=false if the terminals are not all reachable from one
-// another. Terminals must be distinct. The result is cycle-free with no
-// non-terminal leaves.
-func (m *MehlhornSolver) SteinerTree(terminals []int, costFn EdgeCostFunc) (tree []int, ok bool) {
+// under the per-edge primary costs cost (one entry per edge, as for
+// Dijkstra.ShortestPath), or ok=false if the terminals are not all
+// reachable from one another. Terminals must be distinct. The result is
+// cycle-free with no non-terminal leaves.
+func (m *MehlhornSolver) SteinerTree(terminals []int, cost []uint64) (tree []int, ok bool) {
 	if len(terminals) <= 1 {
 		return nil, true
 	}
@@ -72,7 +73,7 @@ func (m *MehlhornSolver) SteinerTree(terminals []int, costFn EdgeCostFunc) (tree
 			if m.done[arc.To] {
 				continue
 			}
-			nc := du.Add(costFn(arc.Edge))
+			nc := du.Add(cost[arc.Edge])
 			if nc.Less(m.dist[arc.To]) {
 				m.visit(arc.To, nc, int32(arc.Edge), m.src[u])
 				m.heap.push(dijkstraItem{vertex: arc.To, cost: nc})
@@ -90,8 +91,8 @@ func (m *MehlhornSolver) SteinerTree(terminals []int, costFn EdgeCostFunc) (tree
 		if su < 0 || sv < 0 || su == sv {
 			continue
 		}
-		w := m.dist[ed.U].Add(costFn(e))
-		w.Primary += m.dist[ed.V].Primary
+		w := m.dist[ed.U].Add(cost[e])
+		w.Primary = addPrimary(w.Primary, m.dist[ed.V].Primary)
 		w.Hops += m.dist[ed.V].Hops
 		bridges = append(bridges, WeightedEdge{
 			U: int(su), V: int(sv), Weight: foldCost(w), Payload: e,

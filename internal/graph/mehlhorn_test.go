@@ -15,12 +15,12 @@ func TestMehlhornTwoTerminalsIsShortestPath(t *testing.T) {
 		if u == v {
 			continue
 		}
-		tree, ok := m.SteinerTree([]int{u, v}, unitCost)
+		tree, ok := m.SteinerTree([]int{u, v}, unitCosts(g))
 		if !ok {
 			t.Fatal("grid should connect")
 		}
-		_, cost, _ := d.ShortestPath(u, v, unitCost, nil)
-		if len(tree) != int(cost.Hops) {
+		path, _ := d.ShortestPath(u, v, unitCosts(g), nil)
+		if cost := pathCost(path, unitCosts(g)); len(tree) != int(cost.Hops) {
 			t.Fatalf("trial %d: Mehlhorn 2-terminal tree has %d edges, shortest path %d", trial, len(tree), cost.Hops)
 		}
 		checkSteinerTree(t, g, tree, []int{u, v})
@@ -35,7 +35,7 @@ func TestMehlhornStarGraph(t *testing.T) {
 		g.AddEdge(0, i)
 	}
 	m := NewMehlhornSolver(g)
-	tree, ok := m.SteinerTree([]int{1, 2, 3}, unitCost)
+	tree, ok := m.SteinerTree([]int{1, 2, 3}, unitCosts(g))
 	if !ok || len(tree) != 3 {
 		t.Fatalf("tree=%v ok=%v", tree, ok)
 	}
@@ -46,7 +46,7 @@ func TestMehlhornDisconnected(t *testing.T) {
 	g := New(4, 1)
 	g.AddEdge(0, 1)
 	m := NewMehlhornSolver(g)
-	if _, ok := m.SteinerTree([]int{0, 3}, unitCost); ok {
+	if _, ok := m.SteinerTree([]int{0, 3}, unitCosts(g)); ok {
 		t.Error("disconnected terminals accepted")
 	}
 }
@@ -54,7 +54,7 @@ func TestMehlhornDisconnected(t *testing.T) {
 func TestMehlhornSingleTerminal(t *testing.T) {
 	g := line(3)
 	m := NewMehlhornSolver(g)
-	tree, ok := m.SteinerTree([]int{1}, unitCost)
+	tree, ok := m.SteinerTree([]int{1}, unitCosts(g))
 	if !ok || len(tree) != 0 {
 		t.Errorf("tree=%v ok=%v", tree, ok)
 	}
@@ -67,9 +67,10 @@ func TestMehlhornAvoidsCongestion(t *testing.T) {
 	e12 := g.AddEdge(1, 2)
 	g.AddEdge(2, 3)
 	g.AddEdge(3, 0)
-	usage := map[int]uint64{e01: 5, e12: 5}
+	usage := make([]uint64, g.NumEdges())
+	usage[e01], usage[e12] = 5, 5
 	m := NewMehlhornSolver(g)
-	tree, ok := m.SteinerTree([]int{0, 2}, func(e int) uint64 { return usage[e] })
+	tree, ok := m.SteinerTree([]int{0, 2}, usage)
 	if !ok {
 		t.Fatal("not ok")
 	}
@@ -91,7 +92,7 @@ func TestMehlhornWithinTwiceKMBRandom(t *testing.T) {
 		k := 2 + rng.Intn(minInt(6, n-1))
 		terms := rng.Perm(n)[:k]
 		m := NewMehlhornSolver(g)
-		tree, ok := m.SteinerTree(terms, unitCost)
+		tree, ok := m.SteinerTree(terms, unitCosts(g))
 		if !ok {
 			t.Fatalf("trial %d: not ok on connected graph", trial)
 		}
@@ -102,7 +103,7 @@ func TestMehlhornWithinTwiceKMBRandom(t *testing.T) {
 		sc := NewSteinerCleaner(g)
 		var union []int
 		for _, v := range terms[1:] {
-			union, _, _ = d.ShortestPath(terms[0], v, unitCost, union)
+			union, _ = d.ShortestPath(terms[0], v, unitCosts(g), union)
 		}
 		star, ok := sc.Clean(union, terms)
 		if !ok {
@@ -121,7 +122,7 @@ func TestMehlhornReusableAcrossCalls(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		k := 2 + rng.Intn(5)
 		terms := rng.Perm(36)[:k]
-		tree, ok := m.SteinerTree(terms, unitCost)
+		tree, ok := m.SteinerTree(terms, unitCosts(g))
 		if !ok {
 			t.Fatal("grid must connect")
 		}
@@ -149,10 +150,11 @@ func BenchmarkMehlhornVsKMBStyle(b *testing.B) {
 	g := grid(20, 20)
 	rng := rand.New(rand.NewSource(2))
 	terms := rng.Perm(400)[:12]
+	costs := unitCosts(g)
 	b.Run("Mehlhorn", func(b *testing.B) {
 		m := NewMehlhornSolver(g)
 		for i := 0; i < b.N; i++ {
-			if _, ok := m.SteinerTree(terms, unitCost); !ok {
+			if _, ok := m.SteinerTree(terms, costs); !ok {
 				b.Fatal("failed")
 			}
 		}
@@ -164,7 +166,7 @@ func BenchmarkMehlhornVsKMBStyle(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			union = union[:0]
 			for _, v := range terms[1:] {
-				union, _, _ = d.ShortestPath(terms[0], v, unitCost, union)
+				union, _ = d.ShortestPath(terms[0], v, costs, union)
 			}
 			if _, ok := sc.Clean(union, terms); !ok {
 				b.Fatal("failed")

@@ -104,7 +104,6 @@ func TestQuickDijkstraNeverBeatenByRandomWalk(t *testing.T) {
 		for i := range usage {
 			usage[i] = uint64(rng.Intn(6))
 		}
-		costFn := func(e int) uint64 { return usage[e] }
 		d := NewDijkstra(g)
 		n := g.NumVertices()
 		src := rng.Intn(n)
@@ -120,8 +119,8 @@ func TestQuickDijkstraNeverBeatenByRandomWalk(t *testing.T) {
 			arc := adj[rng.Intn(len(adj))]
 			walked += usage[arc.Edge]
 			cur = arc.To
-			_, cost, ok := d.ShortestPath(src, cur, costFn, nil)
-			if !ok || cost.Primary > walked {
+			path, ok := d.ShortestPath(src, cur, usage, nil)
+			if !ok || pathCost(path, usage).Primary > walked {
 				return false
 			}
 		}
@@ -143,7 +142,7 @@ func TestQuickSteinerTreeEdgeCountBound(t *testing.T) {
 		k := 2 + rng.Intn(minInt(5, n-1))
 		terms := rng.Perm(n)[:k]
 		m := NewMehlhornSolver(g)
-		tree, ok := m.SteinerTree(terms, unitCost)
+		tree, ok := m.SteinerTree(terms, unitCosts(g))
 		if !ok {
 			return false
 		}

@@ -48,15 +48,23 @@ func newRadixQueue(n int) *radixQueue {
 // reordering.
 func (q *radixQueue) pack(c Cost) uint64 {
 	if c.Primary > q.maxPri {
-		panic("graph: radix queue primary cost overflows packed key")
+		panic(errKeyOverflow)
 	}
 	return c.Primary<<q.hopBits | uint64(c.Hops)
 }
 
+// errKeyOverflow is the panic value of a Primary cost beyond the packed
+// key's range, raised by pack and by the search's relaxation check.
+const errKeyOverflow = "graph: radix queue primary cost overflows packed key"
+
+// reset empties the queue, truncating only the buckets the occupancy
+// bitmap marks: a search that stops at its target leaves a few.
 func (q *radixQueue) reset() {
-	for i := range q.buckets {
-		q.buckets[i] = q.buckets[i][:0]
+	for lo := q.mask[0]; lo != 0; lo &= lo - 1 {
+		b := bits.TrailingZeros64(lo)
+		q.buckets[b] = q.buckets[b][:0]
 	}
+	q.buckets[64] = q.buckets[64][:0]
 	q.last = 0
 	q.len = 0
 	q.mask[0], q.mask[1] = 0, 0

@@ -156,7 +156,7 @@ func TestSteinerCleanRandomUnionsOfPaths(t *testing.T) {
 		// KMB router produces.
 		var union []int
 		for i := 1; i < k; i++ {
-			union, _, _ = d.ShortestPath(terms[0], terms[i], unitCost, union)
+			union, _ = d.ShortestPath(terms[0], terms[i], unitCosts(g), union)
 		}
 		tree, ok := sc.Clean(union, terms)
 		if !ok {

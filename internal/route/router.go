@@ -165,24 +165,18 @@ func (a *treeArena) commit(s []int) []int {
 }
 
 // netWorker bundles the per-goroutine search state of one routing worker:
-// the path and Steiner solvers plus the own-edge stamps that make a net's
-// already-chosen edges free during its own embedding. None of it is shared,
-// so distinct workers may embed distinct nets concurrently as long as the
-// base usage array is not mutated meanwhile.
+// the path and Steiner solvers plus the per-edge cost slice they search
+// under. None of it is shared, so distinct workers may embed distinct nets
+// concurrently as long as the base usage array is not mutated meanwhile.
 type netWorker struct {
 	dij     *graph.Dijkstra
 	mehl    *graph.MehlhornSolver
 	cleaner *graph.SteinerCleaner
 
-	// base is the frozen per-edge congestion the worker routes against;
-	// cost is the reusable closure over it handed to the solvers.
-	base []uint32
-	cost graph.EdgeCostFunc
-
-	// ownStamp marks edges already used by the net being routed so that
-	// reusing them costs no congestion.
-	ownStamp []uint32
-	ownEpoch uint32
+	// costs is the search cost of the net being embedded: the frozen base
+	// congestion, with the net's own edges zeroed as its paths are found so
+	// that reusing them costs no congestion.
+	costs []uint64
 	// unionBuf is the reusable path-union scratch of computeTree.
 	unionBuf []int
 	// arena backs the route trees this worker produces.
@@ -191,18 +185,12 @@ type netWorker struct {
 
 func newNetWorker(g *graph.Graph, mehlhorn bool) *netWorker {
 	w := &netWorker{
-		dij:      graph.NewDijkstra(g),
-		cleaner:  graph.NewSteinerCleaner(g),
-		ownStamp: make([]uint32, g.NumEdges()),
+		dij:     graph.NewDijkstra(g),
+		cleaner: graph.NewSteinerCleaner(g),
+		costs:   make([]uint64, g.NumEdges()),
 	}
 	if mehlhorn {
 		w.mehl = graph.NewMehlhornSolver(g)
-	}
-	w.cost = func(e int) uint64 {
-		if w.ownStamp[e] == w.ownEpoch {
-			return 0
-		}
-		return uint64(w.base[e])
 	}
 	return w
 }
@@ -210,31 +198,14 @@ func newNetWorker(g *graph.Graph, mehlhorn bool) *netWorker {
 // clone returns an independent worker over the same graph.
 func (w *netWorker) clone() *netWorker {
 	c := &netWorker{
-		dij:      w.dij.Clone(),
-		cleaner:  w.cleaner.Clone(),
-		ownStamp: make([]uint32, len(w.ownStamp)),
+		dij:     w.dij.Clone(),
+		cleaner: w.cleaner.Clone(),
+		costs:   make([]uint64, len(w.costs)),
 	}
 	if w.mehl != nil {
 		c.mehl = w.mehl.Clone()
 	}
-	c.cost = func(e int) uint64 {
-		if c.ownStamp[e] == c.ownEpoch {
-			return 0
-		}
-		return uint64(c.base[e])
-	}
 	return c
-}
-
-// bumpEpoch starts a fresh own-edge scope, handling stamp wrap-around.
-func (w *netWorker) bumpEpoch() {
-	w.ownEpoch++
-	if w.ownEpoch == 0 {
-		for i := range w.ownStamp {
-			w.ownStamp[i] = 0
-		}
-		w.ownEpoch = 1
-	}
 }
 
 type router struct {
@@ -455,18 +426,21 @@ func (r *router) commit(n int, tree []int) {
 }
 
 // computeTree computes net n's Steiner tree under the base edge congestion
-// using w's private scratch. It does not touch shared router state, so
-// distinct workers may compute trees concurrently as long as base is not
-// mutated meanwhile. mst may be nil for SteinerMehlhorn.
+// using w's private scratch: base is copied into w.costs once per net, and
+// every search of the net reads that slice. It does not touch shared router
+// state, so distinct workers may compute trees concurrently as long as base
+// is not mutated meanwhile. mst may be nil for SteinerMehlhorn.
 func (r *router) computeTree(w *netWorker, n int, alg SteinerAlg, mst []graph.WeightedEdge, base []uint32) ([]int, error) {
 	terms := r.in.Nets[n].Terminals
 	if len(terms) <= 1 {
 		return nil, nil
 	}
-	w.base = base
-	w.bumpEpoch()
+	costs := w.costs
+	for e, u := range base {
+		costs[e] = uint64(u)
+	}
 	if alg == SteinerMehlhorn {
-		tree, ok := w.mehl.SteinerTree(terms, w.cost)
+		tree, ok := w.mehl.SteinerTree(terms, costs)
 		if !ok {
 			return nil, fmt.Errorf("route: net %d: terminals disconnected", n)
 		}
@@ -479,12 +453,12 @@ func (r *router) computeTree(w *netWorker, n int, alg SteinerAlg, mst []graph.We
 	for _, me := range mst {
 		start := len(union)
 		var ok bool
-		union, _, ok = w.dij.ShortestPath(terms[me.U], terms[me.V], w.cost, union)
+		union, ok = w.dij.ShortestPath(terms[me.U], terms[me.V], costs, union)
 		if !ok {
 			return nil, fmt.Errorf("route: net %d: no path between terminals %d and %d", n, terms[me.U], terms[me.V])
 		}
 		for _, e := range union[start:] {
-			w.ownStamp[e] = w.ownEpoch
+			costs[e] = 0
 		}
 	}
 	w.unionBuf = union

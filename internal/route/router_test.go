@@ -2,9 +2,11 @@ package route
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"tdmroute/internal/gen"
 	"tdmroute/internal/graph"
 	"tdmroute/internal/problem"
 )
@@ -310,5 +312,39 @@ func BenchmarkRouteMedium(b *testing.B) {
 		if _, _, err := Route(context.Background(), in, Options{}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkRouteInitial times the initial-routing layer alone — APSP, the
+// terminal MSTs and one congestion-aware search per MST edge — on the seeded
+// synopsys01@0.01 instance from internal/gen, with rip-up disabled. Besides
+// ns/op it reports ns/search, the op time divided by the searches one
+// routing issues: Σ(k−1) over the memoized terminal MSTs.
+func BenchmarkRouteInitial(b *testing.B) {
+	cfg, err := gen.SuiteConfig("synopsys01", 0.01)
+	if err != nil {
+		b.Fatal(err)
+	}
+	in, err := gen.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			opt := Options{RipUpRounds: -1, Workers: workers}
+			searches := 0
+			for i := 0; i < b.N; i++ {
+				s := NewSession(in, opt)
+				if _, _, err := s.Route(context.Background()); err != nil {
+					b.Fatal(err)
+				}
+				if i == 0 {
+					for _, mst := range s.r.mst {
+						searches += len(mst)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(searches), "ns/search")
+		})
 	}
 }

@@ -227,13 +227,17 @@ func randomAssignInstance(rng *rand.Rand) (*problem.Instance, problem.Routing) {
 	nets := make([]problem.Net, nn)
 	routes := make(problem.Routing, nn)
 	d := graph.NewDijkstra(g)
+	unit := make([]uint64, g.NumEdges())
+	for e := range unit {
+		unit[e] = 1
+	}
 	for i := 0; i < nn; i++ {
 		u, v := rng.Intn(nv), rng.Intn(nv)
 		for v == u {
 			v = rng.Intn(nv)
 		}
 		nets[i].Terminals = []int{u, v}
-		path, _, ok := d.ShortestPath(u, v, func(int) uint64 { return 1 }, nil)
+		path, ok := d.ShortestPath(u, v, unit, nil)
 		if !ok {
 			panic("unreachable in connected graph")
 		}

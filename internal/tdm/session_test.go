@@ -27,7 +27,7 @@ func mutateRoutes(rng *rand.Rand, in *problem.Instance, routes problem.Routing) 
 			continue
 		}
 		term := in.Nets[n].Terminals
-		path, _, ok := d.ShortestPath(term[0], term[1], func(e int) uint64 { return costs[e] }, nil)
+		path, ok := d.ShortestPath(term[0], term[1], costs, nil)
 		if !ok {
 			continue
 		}

@@ -130,8 +130,8 @@ def main():
     ap.add_argument("--head", default="HEAD")
     ap.add_argument("--out", required=True)
     ap.add_argument("--seconds", type=int, default=10)
-    ap.add_argument("--pairs", type=int, default=10, help="pairs of flow and assign runs")
-    ap.add_argument("--few", type=int, default=3, help="pairs of partitioned, serve and scale-1.0 runs")
+    ap.add_argument("--pairs", type=int, default=10, help="pairs of flow and partitioned runs")
+    ap.add_argument("--few", type=int, default=5, help="pairs of assign, serve and scale-1.0 runs")
     ap.add_argument("--traced", type=int, default=5, help="pairs of traced flow runs")
     ap.add_argument("--workers", type=int, default=2, help="tdmroute -workers at scale 1.0")
     args = ap.parse_args()
@@ -159,8 +159,8 @@ def main():
         "perfbench": {},
     }
 
-    plan = [("flow", args.pairs, 0), ("assign", args.pairs, 0),
-            ("partitioned", args.few, 0), ("serve", args.few, 0),
+    plan = [("flow", args.pairs, 0), ("partitioned", args.pairs, 0),
+            ("assign", args.few, 0), ("serve", args.few, 0),
             ("flow", args.traced, 1)]
     for workload, n, trace in plan:
         pairs = interleave(n, lambda side, i: perfbench(trees[side], workload, 11 + i, args.seconds, trace))
