@@ -311,25 +311,6 @@ func stageDegraded(ctx context.Context, stage Stage, rep Report) *Degraded {
 	}
 }
 
-// runSingleRetained is runSingle executed through retainable sessions: the
-// same stages over the same state (the session wrappers compute exactly what
-// their cold counterparts compute), with the session and multipliers kept in
-// a WarmHandle for later delta solves.
-func runSingleRetained(ctx context.Context, req Request) (*Response, error) {
-	h := &WarmHandle{
-		in:  req.Instance,
-		opt: req.Options,
-		rs:  route.NewSession(req.Instance, req.Options.Route),
-		ts:  tdm.NewSession(req.Instance),
-	}
-	resp, err := solveBaseSession(ctx, req.Instance, req.Options, h.rs, h.ts, &h.lambda)
-	if err != nil {
-		return nil, err
-	}
-	resp.Warm = h
-	return resp, nil
-}
-
 // runDelta is the ModeDelta arm of Run: validate the delta against the
 // handle, patch the instance and both sessions, reroute only the affected
 // nets, and re-run the assignment warm-started from the captured
@@ -396,12 +377,14 @@ func runDelta(ctx context.Context, req Request) (*Response, error) {
 	changed = append(changed, req.Delta.RemoveNets...)
 	changed = append(changed, h.stale...)
 
+	// Progress wiring and the multiplier callback come from this request,
+	// not from the request that built the handle.
 	topt := h.opt.TDM
-	topt.Trace = req.Options.TDM.Trace // progress wiring comes from this request
+	topt.Trace = req.Options.TDM.Trace
+	topt.CaptureLambda = req.Options.TDM.CaptureLambda
 	topt.WarmLambda = h.lambda
 	var captured []float64
-	topt.CaptureLambda = func(l []float64) { captured = l }
-	assign, rep, times, stage, err := assignTimed(ctx, sessionLR(h.ts, changed), h.in, h.rs.RoutesAlias(), topt)
+	assign, rep, times, stage, err := assignTimed(ctx, h.ts, changed, h.in, h.rs.RoutesAlias(), captureLambda(topt, &captured))
 	res.Times.LR = times.LR
 	res.Times.LegalRefine = times.LegalRefine
 	if err != nil {

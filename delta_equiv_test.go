@@ -340,7 +340,7 @@ func runDeltaCold(ctx context.Context, in *Instance, base Routing, priorBias []E
 	topt.WarmLambda = lambda
 	var captured []float64
 	topt.CaptureLambda = func(l []float64) { captured = l }
-	assign, rep, times, stage, err := assignTimed(ctx, tdm.RunLR, in, rs.RoutesAlias(), topt)
+	assign, rep, times, stage, err := assignTimed(ctx, tdm.NewSession(in), nil, in, rs.RoutesAlias(), topt)
 	res.Times.LR = times.LR
 	res.Times.LegalRefine = times.LegalRefine
 	if err != nil {

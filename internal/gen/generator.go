@@ -114,12 +114,6 @@ func newBoard(n int) *board {
 
 func (b *board) pos(v int) (r, c int) { return v / b.cols, v % b.cols }
 
-func (b *board) manhattan(u, v int) int {
-	ur, uc := b.pos(u)
-	vr, vc := b.pos(v)
-	return abs(ur-vr) + abs(uc-vc)
-}
-
 // buildGraph constructs a connected FPGA graph: the grid spanning tree plus
 // extra chords sampled with locality bias. No parallel edges or self loops.
 func (b *board) buildGraph(cfg Config, rng *rand.Rand) (*graph.Graph, error) {
@@ -286,11 +280,4 @@ func sign(rng *rand.Rand) int {
 		return -1
 	}
 	return 1
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

@@ -3,7 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -386,15 +385,4 @@ func isSafeWriter(t types.Type) bool {
 		return false
 	}
 	return safeWriterTypes[types.TypeString(t, nil)]
-}
-
-// sortedFuncs returns the fact map's keys in a deterministic order, for
-// tests and debugging output.
-func sortedFuncs(m map[*types.Func]Fact) []*types.Func {
-	out := make([]*types.Func, 0, len(m))
-	for fn := range m {
-		out = append(out, fn)
-	}
-	sort.Slice(out, func(i, j int) bool { return funcKey(out[i]) < funcKey(out[j]) })
-	return out
 }

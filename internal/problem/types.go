@@ -37,9 +37,6 @@ type Instance struct {
 	Groups []Group
 }
 
-// NumNets returns the netlist size.
-func (in *Instance) NumNets() int { return len(in.Nets) }
-
 // Clone returns a deep copy of the instance's netlist and groups. The FPGA
 // graph is shared: it is immutable for the life of an instance, and deep
 // copies exist to let one side mutate nets and group membership (an ECO
@@ -59,9 +56,6 @@ func (in *Instance) Clone() *Instance {
 	}
 	return c
 }
-
-// NumGroups returns the number of NetGroups.
-func (in *Instance) NumGroups() int { return len(in.Groups) }
 
 // Routing is a routing topology: for each net, the identifiers of the FPGA
 // graph edges its Steiner tree uses. Intra-FPGA nets (single-terminal after
@@ -136,6 +130,3 @@ func EdgeLoads(numEdges int, r Routing) [][]EdgeLoad {
 	}
 	return loads
 }
-
-// GroupsOf returns the group id list of net n (possibly empty).
-func (in *Instance) GroupsOf(n int) []int { return in.Nets[n].Groups }

@@ -273,9 +273,6 @@ func (s *Session) Routes() problem.Routing {
 // exists for validation passes that would otherwise copy per round.
 func (s *Session) RoutesAlias() problem.Routing { return s.r.routes }
 
-// Stats returns the router statistics accumulated so far.
-func (s *Session) Stats() Stats { return s.r.stats }
-
 // Route computes a routing topology for in. The returned routing satisfies
 // problem.ValidateRouting for every connected instance. It is the cold
 // entry point, equivalent to NewSession(in, opt).Route(ctx); see

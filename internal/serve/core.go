@@ -118,9 +118,6 @@ func (c *Core) Handler() http.Handler { return c.mux }
 // HandleFunc adds a tier-only route.
 func (c *Core) HandleFunc(pattern string, h http.HandlerFunc) { c.mux.HandleFunc(pattern, h) }
 
-// Draining reports whether the drain has begun.
-func (c *Core) Draining() bool { return c.draining.Load() }
-
 // Stopping returns a channel that is closed when the drain begins.
 func (c *Core) Stopping() <-chan struct{} { return c.stopc }
 

@@ -28,9 +28,6 @@ func NewWindow(width int) *Window {
 	return &Window{buf: make([]float64, width)}
 }
 
-// Width returns the capacity of the window.
-func (w *Window) Width() int { return len(w.buf) }
-
 // Len returns the number of samples currently in the window.
 func (w *Window) Len() int { return w.count }
 

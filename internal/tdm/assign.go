@@ -20,28 +20,10 @@ import (
 // Report.Interrupted holding the cause — the assignment is still legal, only
 // less optimized. A non-nil error is returned only when no legal assignment
 // could be produced at all.
+//
+// Assign is Session.Assign on a fresh session.
 func Assign(ctx context.Context, in *problem.Instance, routes problem.Routing, opt Options) (problem.Assignment, Report, error) {
-	if len(routes) != len(in.Nets) {
-		return problem.Assignment{}, Report{}, fmt.Errorf("tdm: routing has %d nets, instance has %d", len(routes), len(in.Nets))
-	}
-	opt = opt.withDefaults()
-
-	relaxed, z, lb, iters, converged, stopped := RunLR(ctx, in, routes, opt)
-	if relaxed == nil {
-		return problem.Assignment{}, Report{}, stopped
-	}
-	assign, rep, err := Finish(ctx, in, routes, relaxed, opt)
-	if err != nil {
-		return problem.Assignment{}, Report{}, err
-	}
-	rep.Iterations = iters
-	rep.Converged = converged
-	rep.LowerBound = lb
-	rep.RelaxedZ = z
-	if stopped != nil {
-		rep.Interrupted = stopped // the LR stop is the earlier cause
-	}
-	return assign, rep, nil
+	return NewSession(in).Assign(ctx, routes, nil, opt)
 }
 
 // Finish legalizes a relaxed assignment and applies the refinement passes,

@@ -445,26 +445,17 @@ func (s *lrState) updateSubgradient(z, lb, bestZ float64) {
 // returned ratios are the incumbent: the best completed sweep, or a single
 // fallback pattern pass when no sweep completed. ratios is nil only when
 // even the fallback pass failed; stopped then holds the terminal error.
+//
+// RunLR is Session.RunLR on a fresh session: the one-shot form for callers
+// that solve a topology once.
 func RunLR(ctx context.Context, in *problem.Instance, routes problem.Routing, opt Options) (ratios [][]float64, z, lb float64, iters int, converged bool, stopped error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	opt = opt.withDefaults()
-	var s *lrState
-	if err := par.Capture(func() error {
-		s = newLRState(in, routes, opt)
-		return nil
-	}); err != nil {
-		return nil, 0, 0, 0, false, err
-	}
-	ratios, z, lb, iters, converged, stopped, _ = runLRCore(ctx, s, routes, opt, nil)
-	return ratios, z, lb, iters, converged, stopped
+	return NewSession(in).RunLR(ctx, routes, nil, opt)
 }
 
-// runLRCore is the iteration loop of Algorithm 1 over a prebuilt state. It
-// is shared by the cold RunLR above and the Session warm path: the state's
-// multipliers and windows must already be initialized for a fresh run (the
-// cold constructor and Session.reset are equivalent by construction).
+// runLRCore is the iteration loop of Algorithm 1 over a prebuilt state, run
+// by Session.RunLR: the state's multipliers and windows must already be
+// initialized for a fresh run (newLRState and resetRun are equivalent by
+// construction).
 //
 // bestBuf, when non-nil, must have len(s.cellRatio); it is reused as the
 // best-pattern snapshot so a session's steady state allocates nothing per

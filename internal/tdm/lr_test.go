@@ -2,6 +2,7 @@ package tdm
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -314,6 +315,30 @@ func TestLRNoGroups(t *testing.T) {
 	}
 	if len(ratios) != 1 || len(ratios[0]) != 1 || ratios[0][0] < 1 {
 		t.Errorf("no-group net got no pattern: %v", ratios)
+	}
+}
+
+// TestRunLRRejectsRoutingLength pins the typed length check: a routing
+// with fewer or more nets than the instance is a caller error reported by
+// RunLR and Assign, not a contained index panic.
+func TestRunLRRejectsRoutingLength(t *testing.T) {
+	in, routes := randomAssignInstance(rand.New(rand.NewSource(1)))
+	for _, tc := range []struct {
+		name string
+		bad  problem.Routing
+	}{
+		{"short", routes[:len(routes)-1]},
+		{"long", append(routes.Clone(), routes[0])},
+	} {
+		name, bad := tc.name, tc.bad
+		want := fmt.Sprintf("tdm: routing has %d nets, instance has %d", len(bad), len(in.Nets))
+		ratios, _, _, _, _, stopped := RunLR(context.Background(), in, bad, Options{})
+		if ratios != nil || stopped == nil || stopped.Error() != want {
+			t.Errorf("%s: RunLR = (%v, %v), want nil ratios and %q", name, ratios, stopped, want)
+		}
+		if _, _, err := Assign(context.Background(), in, bad, Options{}); err == nil || err.Error() != want {
+			t.Errorf("%s: Assign error %v, want %q", name, err, want)
+		}
 	}
 }
 

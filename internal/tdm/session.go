@@ -6,12 +6,16 @@
 // set of rerouted nets, splices only their cells out of and back into the
 // flat arrays, reusing every multiplier, window, and pattern buffer.
 //
+// A Session is also the only LR path: the package-level RunLR and Assign
+// are its methods on a fresh session, whose first call builds the state.
+//
 // The patched arrays are exactly equal — element for element — to what a
-// cold newLRState build on the new routing produces, because the cold build
-// is deterministic (cells of an edge appear in ascending net order, cells of
-// a net in route order) and the splice preserves both orders. With the
-// multipliers and windows re-initialized by resetRun, a session round is
-// therefore bit-identical to a cold RunLR call on the same routing.
+// newLRState build on the new routing produces, because the build is
+// deterministic (cells of an edge appear in ascending net order, cells of a
+// net in route order) and the splice preserves both orders. With the
+// multipliers and windows re-initialized by resetRun, a patched session
+// round is therefore bit-identical to a fresh session's first call on the
+// same routing.
 package tdm
 
 import (
@@ -66,9 +70,9 @@ func NewSession(in *problem.Instance) *Session {
 	return &Session{in: in}
 }
 
-// RunLR executes Algorithm 1 on the given topology, with the same results
-// and anytime semantics as the package-level RunLR. The first call builds
-// the CSR state; subsequent calls patch it in place using changed (see the
+// RunLR executes Algorithm 1 on the given topology; the package-level RunLR
+// documents its results and anytime semantics. The first call builds the
+// CSR state; subsequent calls patch it in place using changed (see the
 // Session contract) and reuse every buffer.
 func (t *Session) RunLR(ctx context.Context, routes problem.Routing, changed []int, opt Options) (ratios [][]float64, z, lb float64, iters int, converged bool, stopped error) {
 	if ctx == nil {
@@ -109,10 +113,9 @@ func (t *Session) RunLR(ctx context.Context, routes problem.Routing, changed []i
 	return ratios, z, lb, iters, converged, stopped
 }
 
-// Assign is the session counterpart of the package-level Assign: LR through
-// the session's incremental state, then the shared legalization and
-// refinement. Results and anytime semantics are identical to Assign on the
-// same routing.
+// Assign runs the complete assignment stage documented on the
+// package-level Assign: LR through the session's incremental state, then
+// Finish's legalization and refinement.
 func (t *Session) Assign(ctx context.Context, routes problem.Routing, changed []int, opt Options) (problem.Assignment, Report, error) {
 	opt = opt.withDefaults()
 	relaxed, z, lb, iters, converged, stopped := t.RunLR(ctx, routes, changed, opt)

@@ -9,8 +9,6 @@ import (
 	"tdmroute/internal/eval"
 	"tdmroute/internal/par"
 	"tdmroute/internal/problem"
-	"tdmroute/internal/route"
-	"tdmroute/internal/tdm"
 )
 
 // runIterative is the ModeIterative pipeline, with options already
@@ -30,35 +28,25 @@ import (
 // after the base solve, the returned response is non-nil alongside the
 // error and carries the incumbent and the stage times of all work done.
 //
-// The whole run shares one routing session and one TDM session: the APSP
-// LUT, terminal MSTs, search scratch, and the CSR incidence of the LR are
-// built once by the base solve and patched incrementally by every feedback
-// round. The results are byte-identical to rebuilding each stage from
-// scratch (the solveIterativeCold test reference); only the wall clock
-// differs. The base assignment's own LR captures λ for the first warm start,
-// instead of re-running a full relaxation on the accepted topology.
+// The whole run shares the routing and TDM sessions of h: the APSP LUT,
+// terminal MSTs, search scratch, and the CSR incidence of the LR are built
+// once by the base solve (the ModeSingle pipeline, solveBaseSession) and
+// patched incrementally by every feedback round. The results are
+// byte-identical to rebuilding each stage from scratch (the
+// solveIterativeCold test reference); only the wall clock differs. The base
+// assignment's own LR captures λ for the first warm start, instead of
+// re-running a full relaxation on the accepted topology.
 //
-// warm, when non-nil, receives the run's live sessions, final multipliers,
-// and the stale-net bookkeeping (Request.Retain); the caller must discard it
-// when runIterative also returns an error.
-func runIterative(ctx context.Context, req Request, warm *WarmHandle) (*Response, error) {
-	in, opt, rounds := req.Instance, req.Options, req.Rounds
+// On return h holds the final multipliers and the stale-net bookkeeping, so
+// the caller can hand it out for later ModeDelta requests (Request.Retain);
+// the caller must discard it when runIterative also returns an error.
+func runIterative(ctx context.Context, req Request, h *WarmHandle) (*Response, error) {
+	rounds := req.Rounds
 	if rounds == 0 {
 		rounds = 3
 	}
 
-	rs := route.NewSession(in, opt.Route)
-	ts := tdm.NewSession(in)
-	var lambda []float64
-	var stale []int
-	if warm != nil {
-		warm.rs, warm.ts = rs, ts
-		defer func() {
-			warm.lambda = lambda
-			warm.stale = stale
-		}()
-	}
-	res, err := solveBaseSession(ctx, in, opt, rs, ts, &lambda)
+	res, err := solveBaseSession(ctx, h, &h.lambda)
 	if err != nil {
 		return nil, err
 	}
@@ -80,18 +68,16 @@ func runIterative(ctx context.Context, req Request, warm *WarmHandle) (*Response
 			req.onRound(round)
 		}
 		res.RoundsRun++
-		improved, err := feedbackRoundSession(ctx, in, res, opt, rs, ts, &lambda, &stale)
+		improved, err := feedbackRoundSession(ctx, res, h)
 		if err != nil {
 			if isInterruption(err) {
 				stop = err // incumbent stands; the round's candidate is dropped
-				if warm != nil {
-					// A contained panic may have interrupted the TDM session
-					// mid-splice; a cancellation stops only at clean
-					// boundaries. Poison the handle on the former.
-					var pe *par.PanicError
-					if errors.As(err, &pe) {
-						warm.err = err
-					}
+				// A contained panic may have interrupted the TDM session
+				// mid-splice; a cancellation stops only at clean
+				// boundaries. Poison the handle on the former.
+				var pe *par.PanicError
+				if errors.As(err, &pe) {
+					h.err = err
 				}
 				break
 			}
@@ -120,53 +106,6 @@ func runIterative(ctx context.Context, req Request, warm *WarmHandle) (*Response
 	return res, nil
 }
 
-// solveBaseSession is runSingle running through the iterated solver's
-// sessions instead of throwaway per-call state, with the final multipliers
-// of the base LR captured into *lambda for the first feedback warm start.
-// The session stages compute exactly what their cold counterparts compute,
-// so the result is identical to runSingle's.
-func solveBaseSession(ctx context.Context, in *Instance, opt Options, rs *route.Session, ts *tdm.Session, lambda *[]float64) (*Response, error) {
-	res := &Response{Mode: ModeSingle}
-	t0 := time.Now()
-	var routes Routing
-	var rstats RouteStats
-	err := par.Capture(func() error {
-		var e error
-		routes, rstats, e = rs.Route(ctx)
-		return e
-	})
-	res.Times.Route = time.Since(t0)
-	if err != nil {
-		return nil, err
-	}
-	res.RouteStats = rstats
-	routeCurtailed := ctx.Err() != nil
-
-	topt := opt.TDM
-	userCapture := topt.CaptureLambda
-	topt.CaptureLambda = func(l []float64) {
-		*lambda = append([]float64(nil), l...)
-		if userCapture != nil {
-			userCapture(l)
-		}
-	}
-	assign, rep, times, stage, err := assignTimed(ctx, sessionLR(ts, nil), in, routes, topt)
-	res.Times.LR = times.LR
-	res.Times.LegalRefine = times.LegalRefine
-	if err != nil {
-		return nil, err
-	}
-	res.Report = rep
-	// Snapshot the routing header: the session mutates its live routing on
-	// every feedback reroute, while the incumbent must stay frozen.
-	res.Solution = &Solution{Routes: rs.Routes(), Assign: assign}
-	if routeCurtailed {
-		stage = StageRoute
-	}
-	res.Degraded = stageDegraded(ctx, stage, rep)
-	return res, nil
-}
-
 // feedbackRoundSession is feedbackRoundCold (the test reference) running in
 // place on the shared sessions: the critical group is rerouted inside the
 // routing session and the LR state is patched with just those nets. On
@@ -174,11 +113,12 @@ func solveBaseSession(ctx context.Context, in *Instance, opt Options, rs *route.
 // round always ends the loop, so the TDM session — already patched to the
 // dropped candidate — is not consulted again within this run.)
 //
-// stale records the nets whose routes the TDM session was patched with this
-// round; it is cleared when the round is accepted, so after the loop it
+// h.stale records the nets whose routes the TDM session was patched with
+// this round; it is cleared when the round is accepted, so after the loop it
 // names exactly the nets on which the TDM session lags the routing session.
 // A retained warm handle folds it into the next delta's changed set.
-func feedbackRoundSession(ctx context.Context, in *Instance, res *Response, opt Options, rs *route.Session, ts *tdm.Session, lambda *[]float64, stale *[]int) (bool, error) {
+func feedbackRoundSession(ctx context.Context, res *Response, h *WarmHandle) (bool, error) {
+	in, rs := h.in, h.rs
 	cur := res.Solution
 	_, gmax := eval.MaxGroupTDM(in, cur)
 	if gmax < 0 {
@@ -200,15 +140,14 @@ func feedbackRoundSession(ctx context.Context, in *Instance, res *Response, opt 
 		return false, fmt.Errorf("tdmroute: feedback reroute produced invalid topology: %w", err)
 	}
 
-	topt := opt.TDM
-	topt.WarmLambda = *lambda
+	topt := h.opt.TDM
+	topt.WarmLambda = h.lambda
 	var captured []float64
-	topt.CaptureLambda = func(l []float64) { captured = l }
 	// Copy rather than alias the group's member list: it outlives the round
 	// inside a retained warm handle, while delta group edits mutate the
 	// instance's slices in place.
-	*stale = append([]int(nil), members...)
-	assign, rep, times, _, err := assignTimed(ctx, sessionLR(ts, members), in, candidate, topt)
+	h.stale = append([]int(nil), members...)
+	assign, rep, times, _, err := assignTimed(ctx, h.ts, members, in, candidate, captureLambda(topt, &captured))
 	res.Times.LR += times.LR
 	res.Times.LegalRefine += times.LegalRefine
 	if err != nil {
@@ -222,8 +161,8 @@ func feedbackRoundSession(ctx context.Context, in *Instance, res *Response, opt 
 	}
 	res.Solution = &Solution{Routes: rs.Routes(), Assign: assign}
 	res.Report = rep
-	*lambda = captured
-	*stale = nil
+	h.lambda = captured
+	h.stale = nil
 	return true, nil
 }
 

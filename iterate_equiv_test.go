@@ -109,6 +109,36 @@ func TestSolveIterativeMatchesColdReference(t *testing.T) {
 	}
 }
 
+// TestSingleMatchesColdReference pins ModeSingle, with and without Retain,
+// to the one-shot reference runSingleCold: same solution bytes and the same
+// report, across generator seeds and worker counts.
+func TestSingleMatchesColdReference(t *testing.T) {
+	for i, bench := range []string{"synopsys01", "synopsys02", "hidden01"} {
+		for _, workers := range []int{1, 4} {
+			in := equivInstance(t, bench, int64(i))
+			opt, err := Options{Workers: workers}.normalized()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold, err := runSingleCold(context.Background(), in, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, retain := range []bool{false, true} {
+				res, err := Run(context.Background(), Request{Instance: in, Options: Options{Workers: workers}, Retain: retain})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(solutionBytes(t, res.Solution), solutionBytes(t, cold.Solution)) ||
+					res.Report.GTRMax != cold.Report.GTRMax || res.Report.Iterations != cold.Report.Iterations {
+					t.Fatalf("%s workers=%d retain=%v: session solve diverged from the cold reference (gtr %d vs %d)",
+						bench, workers, retain, res.Report.GTRMax, cold.Report.GTRMax)
+				}
+			}
+		}
+	}
+}
+
 // TestSolveIterativeBuildsAPSPOnce pins the headline reuse property: one
 // iterated solve — base routing plus every feedback reroute — constructs
 // the all-pairs LUT exactly once. (The cold reference rebuilds it on every
@@ -128,6 +158,42 @@ func TestSolveIterativeBuildsAPSPOnce(t *testing.T) {
 	}
 }
 
+// runSingleCold is the pre-session implementation of ModeSingle, kept as
+// the reference the session pipeline (solveBaseSession) must match: the
+// one-shot router, then the assignment on a fresh TDM session, with options
+// already normalized.
+func runSingleCold(ctx context.Context, in *Instance, opt Options) (*Response, error) {
+	res := &Response{Mode: ModeSingle}
+	t0 := time.Now()
+	var routes Routing
+	var rstats RouteStats
+	err := par.Capture(func() error {
+		var e error
+		routes, rstats, e = route.Route(ctx, in, opt.Route)
+		return e
+	})
+	res.Times.Route = time.Since(t0)
+	if err != nil {
+		return nil, err
+	}
+	res.RouteStats = rstats
+	routeCurtailed := ctx.Err() != nil
+
+	assign, rep, times, stage, err := assignTimed(ctx, tdm.NewSession(in), nil, in, routes, opt.TDM)
+	res.Times.LR = times.LR
+	res.Times.LegalRefine = times.LegalRefine
+	if err != nil {
+		return nil, err
+	}
+	res.Report = rep
+	res.Solution = &Solution{Routes: routes, Assign: assign}
+	if routeCurtailed {
+		stage = StageRoute
+	}
+	res.Degraded = stageDegraded(ctx, stage, rep)
+	return res, nil
+}
+
 // solveIterativeCold is the pre-session implementation of ModeIterative,
 // kept as the equivalence reference: every stage rebuilds its state from
 // scratch (fresh router and APSP per reroute, fresh CSR per LR run, an
@@ -145,7 +211,7 @@ func solveIterativeCold(ctx context.Context, req Request) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := runSingle(ctx, in, opt)
+	res, err := runSingleCold(ctx, in, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -236,7 +302,7 @@ func feedbackRoundCold(ctx context.Context, in *Instance, res *Response, opt Opt
 	topt.WarmLambda = *lambda
 	var captured []float64
 	topt.CaptureLambda = func(l []float64) { captured = l }
-	assign, rep, times, _, err := assignTimed(ctx, tdm.RunLR, in, candidate, topt)
+	assign, rep, times, _, err := assignTimed(ctx, tdm.NewSession(in), nil, in, candidate, topt)
 	res.Times.LR += times.LR
 	res.Times.LegalRefine += times.LegalRefine
 	if err != nil {

@@ -107,3 +107,40 @@ func TestWarmStartConvergesFaster(t *testing.T) {
 	}
 	t.Logf("iterations: cold=%d warm=%d", cold.Iterations, rewarm.Iterations)
 }
+
+// TestCaptureLambdaFiresPerLRSolve pins that Options.TDM.CaptureLambda sees
+// every relaxation a solve runs: the base LR and each feedback round's LR in
+// ModeIterative, and the warm-started LR of a ModeDelta solve, which reports
+// to the delta request's callback rather than the base request's.
+func TestCaptureLambdaFiresPerLRSolve(t *testing.T) {
+	for _, bench := range []string{"synopsys01", "synopsys02", "synopsys04"} {
+		in := genInstance(t, bench, 0.004)
+		var baseCalls, deltaCalls int
+		base := solve(t, tdmroute.Request{
+			Instance: in,
+			Mode:     tdmroute.ModeIterative,
+			Rounds:   3,
+			Retain:   true,
+			Options:  tdmroute.Options{TDM: tdmroute.TDMOptions{CaptureLambda: func([]float64) { baseCalls++ }}},
+		})
+		if base.RoundsRun < 1 {
+			t.Fatalf("%s: no feedback round ran; the test needs at least one", bench)
+		}
+		if baseCalls != 1+base.RoundsRun {
+			t.Errorf("%s: ModeIterative with %d rounds fired CaptureLambda %d times, want %d",
+				bench, base.RoundsRun, baseCalls, 1+base.RoundsRun)
+		}
+
+		baseCalls = 0
+		solve(t, tdmroute.Request{
+			Mode:    tdmroute.ModeDelta,
+			Base:    base.Warm,
+			Delta:   &tdmroute.Delta{RemoveNets: []int{0}},
+			Options: tdmroute.Options{TDM: tdmroute.TDMOptions{CaptureLambda: func([]float64) { deltaCalls++ }}},
+		})
+		if deltaCalls != 1 || baseCalls != 0 {
+			t.Errorf("%s: ModeDelta fired the delta callback %d times and the base callback %d times, want 1 and 0",
+				bench, deltaCalls, baseCalls)
+		}
+	}
+}

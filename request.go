@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"time"
 
+	"tdmroute/internal/route"
 	"tdmroute/internal/tdm"
 )
 
@@ -112,13 +113,14 @@ type Request struct {
 	// Options.TDM.Trace; both fire when both are set.
 	OnProgress func(Progress)
 
-	// Retain asks Run to keep the solver's warm state — routing and TDM
-	// sessions plus the captured multipliers — and return it in
-	// Response.Warm for later ModeDelta requests. Supported by ModeSingle
-	// and ModeIterative; the state is retained only when Run succeeds
-	// (degraded incumbents retain, hard errors do not). Retention does not
-	// change the solution: the retained path computes byte-identical results
-	// to the throwaway one.
+	// Retain asks Run to return the solver's warm state — routing and TDM
+	// sessions plus the captured multipliers — in Response.Warm for later
+	// ModeDelta requests. Supported by ModeSingle and ModeIterative; the
+	// state is returned only when Run succeeds (degraded incumbents retain,
+	// hard errors do not). Every ModeSingle and ModeIterative solve runs on
+	// these sessions, so Retain changes only whether the handle is returned
+	// (and whether a ModeSingle solve keeps its multipliers), never the
+	// solution.
 	Retain bool
 	// Base is the warm handle a ModeDelta request re-solves against
 	// (required for ModeDelta, ignored otherwise).
@@ -203,20 +205,28 @@ func Run(ctx context.Context, req Request) (*Response, error) {
 // dispatch runs the mode-specific pipeline of an already-normalized request.
 func dispatch(ctx context.Context, req Request) (*Response, error) {
 	switch req.Mode {
-	case ModeSingle:
-		if req.Retain {
-			return runSingleRetained(ctx, req)
+	case ModeSingle, ModeIterative:
+		// Both modes solve on one routing session and one TDM session,
+		// held in a warm handle that Run returns only when Retain asks.
+		h := &WarmHandle{
+			in:  req.Instance,
+			opt: req.Options,
+			rs:  route.NewSession(req.Instance, req.Options.Route),
+			ts:  tdm.NewSession(req.Instance),
 		}
-		return runSingle(ctx, req.Instance, req.Options)
-
-	case ModeIterative:
-		var warm *WarmHandle
-		if req.Retain {
-			warm = &WarmHandle{in: req.Instance, opt: req.Options}
+		var resp *Response
+		var err error
+		if req.Mode == ModeIterative {
+			resp, err = runIterative(ctx, req, h)
+		} else {
+			lambda := &h.lambda
+			if !req.Retain {
+				lambda = nil // no later solve warm-starts from a plain run
+			}
+			resp, err = solveBaseSession(ctx, h, lambda)
 		}
-		resp, err := runIterative(ctx, req, warm)
-		if resp != nil && warm != nil && err == nil {
-			resp.Warm = warm
+		if err == nil && req.Retain {
+			resp.Warm = h
 		}
 		return resp, err
 
@@ -235,9 +245,10 @@ func dispatch(ctx context.Context, req Request) (*Response, error) {
 }
 
 // runAssignOnly is the ModeAssignOnly arm of Run: the TDM ratio assignment
-// alone on the request's fixed topology, computing exactly what tdm.Assign
-// computes but with the LR / legalize+refine wall split and the Degraded
-// attribution the other modes report.
+// alone on the request's fixed topology, on a fresh TDM session. It
+// computes exactly what tdm.Assign computes but with the LR /
+// legalize+refine wall split and the Degraded attribution the other modes
+// report.
 func runAssignOnly(ctx context.Context, req Request) (*Response, error) {
 	if req.Routing == nil {
 		return nil, errors.New("tdmroute: Run: ModeAssignOnly requires a Routing")
@@ -246,7 +257,7 @@ func runAssignOnly(ctx context.Context, req Request) (*Response, error) {
 		return nil, fmt.Errorf("tdmroute: routing has %d nets, instance has %d",
 			len(req.Routing), len(req.Instance.Nets))
 	}
-	assign, rep, times, stage, err := assignTimed(ctx, tdm.RunLR, req.Instance, req.Routing, req.Options.TDM)
+	assign, rep, times, stage, err := assignTimed(ctx, tdm.NewSession(req.Instance), nil, req.Instance, req.Routing, req.Options.TDM)
 	if err != nil {
 		return nil, err
 	}

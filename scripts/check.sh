@@ -3,7 +3,8 @@
 # where requested), and a benchmark smoke run.
 #
 #   scripts/check.sh          # quick: build + vet + short tests
-#   scripts/check.sh full     # adds full tests, race detector, bench smoke
+#   scripts/check.sh full     # adds full tests, the race detector over the
+#                             # whole tree, and CI's bench-smoke packages
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -25,10 +26,10 @@ go run ./cmd/tdmlint ./...
 if [ "${1:-}" = "full" ]; then
   echo "== tests (full)"
   go test ./...
-  echo "== race (tdm)"
-  go test -race ./internal/tdm/
+  echo "== race"
+  go test -race ./...
   echo "== bench smoke"
-  go test -bench=. -benchtime=1x -run '^$' .
+  go test -run=NONE -bench=. -benchtime=1x . ./internal/graph ./internal/par ./internal/route ./internal/tdm
 else
   echo "== tests (short)"
   go test -short ./...

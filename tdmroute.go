@@ -212,16 +212,19 @@ func (d *Degraded) String() string {
 		d.Stage, d.LRIterations, d.IncumbentGTR, d.Cause)
 }
 
-// runSingle is the ModeSingle pipeline: routing followed by TDM ratio
-// assignment, with options already normalized by the Run boundary.
-func runSingle(ctx context.Context, in *Instance, opt Options) (*Response, error) {
+// solveBaseSession is the ModeSingle pipeline, and the base solve of
+// ModeIterative: routing on h's fresh routing session followed by TDM ratio
+// assignment on its TDM session, with h's options already normalized by the
+// Run boundary. When lambda is non-nil it receives the final multipliers of
+// the LR for a later warm start (a feedback round or a delta solve); a
+// plain solve passes nil and keeps none.
+func solveBaseSession(ctx context.Context, h *WarmHandle, lambda *[]float64) (*Response, error) {
 	res := &Response{Mode: ModeSingle}
 	t0 := time.Now()
-	var routes Routing
 	var rstats RouteStats
 	err := par.Capture(func() error {
 		var e error
-		routes, rstats, e = route.Route(ctx, in, opt.Route)
+		_, rstats, e = h.rs.Route(ctx)
 		return e
 	})
 	res.Times.Route = time.Since(t0)
@@ -231,7 +234,10 @@ func runSingle(ctx context.Context, in *Instance, opt Options) (*Response, error
 	res.RouteStats = rstats
 	routeCurtailed := ctx.Err() != nil
 
-	assign, rep, times, stage, err := assignTimed(ctx, tdm.RunLR, in, routes, opt.TDM)
+	// Snapshot the routing header: the session mutates its live routing on
+	// every feedback reroute, while the incumbent must stay frozen.
+	routes := h.rs.Routes()
+	assign, rep, times, stage, err := assignTimed(ctx, h.ts, nil, h.in, routes, captureLambda(h.opt.TDM, lambda))
 	res.Times.LR = times.LR
 	res.Times.LegalRefine = times.LegalRefine
 	if err != nil {
@@ -246,30 +252,36 @@ func runSingle(ctx context.Context, in *Instance, opt Options) (*Response, error
 	return res, nil
 }
 
-// lrStep is the LR stage of an assignment, shaped like tdm.RunLR: the cold
-// pipelines pass tdm.RunLR itself, the session pipelines sessionLR.
-type lrStep func(ctx context.Context, in *Instance, routes Routing, opt TDMOptions) (relaxed [][]float64, z, lb float64, iters int, converged bool, stopped error)
-
-// sessionLR is the lrStep of a shared TDM session: LR runs on the
-// incrementally patched state (changed per the tdm.Session contract).
-func sessionLR(ts *tdm.Session, changed []int) lrStep {
-	return func(ctx context.Context, _ *Instance, routes Routing, opt TDMOptions) ([][]float64, float64, float64, int, bool, error) {
-		return ts.RunLR(ctx, routes, changed, opt)
+// captureLambda returns opt with its CaptureLambda storing the final
+// multipliers of the LR in *dst and then passing a copy to the caller's own
+// CaptureLambda, if any. A nil dst returns opt unchanged.
+func captureLambda(opt TDMOptions, dst *[]float64) TDMOptions {
+	if dst == nil {
+		return opt
 	}
+	user := opt.CaptureLambda
+	opt.CaptureLambda = func(l []float64) {
+		*dst = l
+		if user != nil {
+			user(append([]float64(nil), l...))
+		}
+	}
+	return opt
 }
 
-// assignTimed runs the assignment stage — lr, then the stock legalization
-// and refinement — and splits it into the LR and legalization+refinement
-// timings needed by the Fig. 3(a) breakdown. The returned stage is "" for a
-// complete run, or the stage the interruption curtailed (StageLR or
-// StageRefine); both stage timers are populated even on the error path so
-// callers can fold partial work into their totals.
-func assignTimed(ctx context.Context, lr lrStep, in *Instance, routes Routing, opt TDMOptions) (Assignment, Report, StageTimes, Stage, error) {
+// assignTimed runs the assignment stage — LR on the TDM session ts (changed
+// per the tdm.Session contract), then the stock legalization and refinement
+// — and splits it into the LR and legalization+refinement timings needed by
+// the Fig. 3(a) breakdown. The returned stage is "" for a complete run, or
+// the stage the interruption curtailed (StageLR or StageRefine); both stage
+// timers are populated even on the error path so callers can fold partial
+// work into their totals.
+func assignTimed(ctx context.Context, ts *tdm.Session, changed []int, in *Instance, routes Routing, opt TDMOptions) (Assignment, Report, StageTimes, Stage, error) {
 	var times StageTimes
 	t0 := time.Now()
-	// Run LR and legalization separately from tdm.Assign so the two
-	// timers can be split; tdm.Assign composes the same calls.
-	relaxed, z, lb, iters, converged, stopped := lr(ctx, in, routes, opt)
+	// Run LR and legalization separately from tdm.Session.Assign so the
+	// two timers can be split; Session.Assign composes the same calls.
+	relaxed, z, lb, iters, converged, stopped := ts.RunLR(ctx, routes, changed, opt)
 	times.LR = time.Since(t0)
 	if relaxed == nil {
 		// No legalizable incumbent: even the bounded fallback pass failed.
