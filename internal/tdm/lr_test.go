@@ -403,13 +403,14 @@ func TestGroupWindowsMatchStatsWindow(t *testing.T) {
 }
 
 func TestUnflattenMatchesRouting(t *testing.T) {
-	// The CSR views must map edge-major cell ratios back to the exact
-	// (net, position) layout.
+	// A snapshot edgeSum ‖ sqrtPi must unflatten to the per-net layout of
+	// the routing, cell (n, k) reading edgeSum[routes[n][k]] / sqrtPi[n].
 	nets := []problem.Net{{Terminals: []int{0, 2}}, {Terminals: []int{1, 2}}}
 	in := pathInstance(3, nets, nil)
 	routes := problem.Routing{{0, 1}, {1}}
-	s := newLRState(in, routes, Options{}.withDefaults())
-	flat := make([]float64, len(s.cellRatio))
+	s := mustLRState(t, in, routes, Options{}.withDefaults())
+	numEdges := in.G.NumEdges()
+	flat := make([]float64, numEdges+len(routes))
 	for i := range flat {
 		flat[i] = float64(10 + i)
 	}
@@ -417,18 +418,16 @@ func TestUnflattenMatchesRouting(t *testing.T) {
 	if len(out) != 2 || len(out[0]) != 2 || len(out[1]) != 1 {
 		t.Fatalf("shape = %v", out)
 	}
-	// Round trip: cell (net n, pos k) must read back the value written to
-	// its flat slot.
 	for n := range routes {
-		for k := range routes[n] {
-			idx := s.netCell[s.netStart[n]+int32(k)]
-			if out[n][k] != flat[idx] {
-				t.Fatalf("net %d pos %d: got %g want %g", n, k, out[n][k], flat[idx])
-			}
-			if int(s.cellNet[idx]) != n || int(s.cellPos[idx]) != k {
-				t.Fatalf("CSR back-pointers wrong at net %d pos %d", n, k)
+		for k, e := range routes[n] {
+			if want := flat[e] / flat[numEdges+n]; out[n][k] != want {
+				t.Fatalf("net %d pos %d: got %g want %g", n, k, out[n][k], want)
 			}
 		}
+	}
+	// The edge-major view lists each edge's nets in ascending order.
+	if !equalI32(s.edgeStart, []int32{0, 1, 3}) || !equalI32(s.cellNet, []int32{0, 0, 1}) {
+		t.Fatalf("CSR = %v %v", s.edgeStart, s.cellNet)
 	}
 }
 

@@ -12,10 +12,12 @@ head in odd pairs) on the same seeds:
   * perfbench (perfbench/run.py) end-to-end runs of the flow, assign,
     partitioned and serve workloads, and traced flow runs for the
     per-layer wall times;
-  * cmd/tdmroute on synopsys01/02 at scale 1.0 (from cmd/gen) with the
-    given worker count, recording wall time, the process's user+system
-    time, the stage walls the program prints (TA = LR plus legalization
-    and refinement) and the SHA-256 of the written solution.
+  * cmd/tdmroute on synopsys01/02 and the large board synopsys05 at
+    scale 1.0 (from cmd/gen) with the given worker count, recording wall
+    time, the process's user+system time, the stage walls the program
+    prints (TA = LR plus legalization and refinement) and the SHA-256 of
+    the written solution. One synopsys05 solve takes minutes, so it runs
+    its own, smaller number of pairs (--large).
 
 The result is one JSON file with every run, the per-side medians and
 quartiles, and how many pairs the head won.
@@ -133,6 +135,7 @@ def main():
     ap.add_argument("--pairs", type=int, default=10, help="pairs of flow and partitioned runs")
     ap.add_argument("--few", type=int, default=5, help="pairs of assign, serve and scale-1.0 runs")
     ap.add_argument("--traced", type=int, default=5, help="pairs of traced flow runs")
+    ap.add_argument("--large", type=int, default=2, help="pairs of synopsys05 scale-1.0 runs")
     ap.add_argument("--workers", type=int, default=2, help="tdmroute -workers at scale 1.0")
     args = ap.parse_args()
 
@@ -175,11 +178,11 @@ def main():
     insts = os.path.join(work, "inputs")
     os.makedirs(insts, exist_ok=True)
     result["scale1"] = {}
-    for name in ("synopsys01", "synopsys02"):
+    for name, n in (("synopsys01", args.few), ("synopsys02", args.few), ("synopsys05", args.large)):
         inst = os.path.join(insts, name + ".txt")
         subprocess.check_call([os.path.join(trees["head"], "bin", "gen"), "-name", name,
                                "-scale", "1.0", "-o", inst], stdout=subprocess.DEVNULL)
-        pairs = interleave(args.few, lambda side, i: solve(
+        pairs = interleave(n, lambda side, i: solve(
             trees[side], inst, args.workers, os.path.join(insts, "%s.%s.sol" % (name, side))))
         result["scale1"][name] = {
             "workers": args.workers,

@@ -3,11 +3,16 @@ package tdmroute_test
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
 	"tdmroute"
 	"tdmroute/internal/gen"
+	"tdmroute/internal/par"
+	"tdmroute/internal/tdm"
 )
 
 // solve runs a request through Run and fails the test on error.
@@ -214,5 +219,55 @@ func TestGoldenDeterminism(t *testing.T) {
 	if res.Report.GTRMax != goldenGTR || res.Report.GTRNoRef != goldenNoRef {
 		t.Errorf("golden drift: GTRMax=%d (want %d) GTRNoRef=%d (want %d)",
 			res.Report.GTRMax, goldenGTR, res.Report.GTRNoRef, goldenNoRef)
+	}
+}
+
+// TestRunLRRejectsEdgeOutOfRange pins the typed edge-range check: a route
+// naming an edge outside the graph, too large or negative, is a caller
+// error reported by tdm.RunLR, tdm.Assign, a patched tdm.Session and Run's
+// ModeAssignOnly, not a contained index panic. A session that rejected a
+// patch keeps its previous topology and still solves like a fresh one.
+func TestRunLRRejectsEdgeOutOfRange(t *testing.T) {
+	in := genInstance(t, "synopsys01", 0.002)
+	routes := solve(t, tdmroute.Request{Instance: in}).Solution.Routes
+	numEdges := in.G.NumEdges()
+	const n = 3
+	opt := tdm.Options{MaxIter: 20}
+	ctx := context.Background()
+	for _, e := range []int{numEdges + 5, -1} {
+		bad := routes.Clone()
+		bad[n] = append(append([]int(nil), bad[n]...), e)
+		want := fmt.Sprintf("tdm: net %d: edge %d out of range [0, %d)", n, e, numEdges)
+		check := func(what string, err error) {
+			t.Helper()
+			var pe *par.PanicError
+			if err == nil || errors.As(err, &pe) || !strings.Contains(err.Error(), want) {
+				t.Errorf("edge %d: %s error %v, want %q", e, what, err, want)
+			}
+		}
+		ratios, _, _, _, _, err := tdm.RunLR(ctx, in, bad, opt)
+		if ratios != nil {
+			t.Errorf("edge %d: RunLR returned ratios", e)
+		}
+		check("RunLR", err)
+		_, _, err = tdm.Assign(ctx, in, bad, opt)
+		check("Assign", err)
+		_, err = tdmroute.Run(ctx, tdmroute.Request{Instance: in, Mode: tdmroute.ModeAssignOnly, Routing: bad})
+		check("Run ModeAssignOnly", err)
+
+		ses := tdm.NewSession(in)
+		if _, _, _, _, _, err := ses.RunLR(ctx, routes, nil, opt); err != nil {
+			t.Fatal(err)
+		}
+		_, _, _, _, _, err = ses.RunLR(ctx, bad, []int{n}, opt)
+		check("patched Session.RunLR", err)
+		got, gz, _, _, _, err := ses.RunLR(ctx, routes, []int{n}, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantR, wz, _, _, _, _ := tdm.RunLR(ctx, in, routes, opt)
+		if math.Float64bits(gz) != math.Float64bits(wz) || fmt.Sprint(got) != fmt.Sprint(wantR) {
+			t.Errorf("edge %d: session after a rejected patch: z %v, want %v", e, gz, wz)
+		}
 	}
 }
