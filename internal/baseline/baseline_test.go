@@ -171,20 +171,38 @@ func TestEvenCeil(t *testing.T) {
 	}
 }
 
-func TestSortByStable(t *testing.T) {
-	s := []int{3, 1, 4, 1, 5, 9, 2, 6}
-	sortBy(s, func(a, b int) bool { return a < b })
-	for i := 1; i < len(s); i++ {
-		if s[i-1] > s[i] {
-			t.Fatalf("not sorted: %v", s)
+// TestNetsBySpreadStable pins the "1st"-style routing order: nets by
+// decreasing total pairwise terminal distance, ties in netlist order.
+func TestNetsBySpreadStable(t *testing.T) {
+	in := testInstance(t, 3)
+	apsp := graph.NewAPSP(in.G)
+	spread := func(n int) int64 {
+		var sum int64
+		terms := in.Nets[n].Terminals
+		for i := range terms {
+			for j := i + 1; j < len(terms); j++ {
+				sum += int64(apsp.Dist(terms[i], terms[j]))
+			}
+		}
+		return sum
+	}
+	order := netsBySpread(in, apsp)
+	if len(order) != len(in.Nets) {
+		t.Fatalf("order has %d nets, want %d", len(order), len(in.Nets))
+	}
+	ties := 0
+	for i := 1; i < len(order); i++ {
+		a, b := order[i-1], order[i]
+		sa, sb := spread(a), spread(b)
+		if sa < sb || (sa == sb && a > b) {
+			t.Fatalf("order[%d..%d] = nets %d (spread %d), %d (spread %d): want decreasing spread, ties by net id", i-1, i, a, sa, b, sb)
+		}
+		if sa == sb {
+			ties++
 		}
 	}
-	// Stability: equal keys keep input order.
-	vals := []int{0, 1, 2, 3}
-	key := map[int]int{0: 1, 1: 1, 2: 0, 3: 0}
-	sortBy(vals, func(a, b int) bool { return key[a] < key[b] })
-	if vals[0] != 2 || vals[1] != 3 || vals[2] != 0 || vals[3] != 1 {
-		t.Errorf("unstable: %v", vals)
+	if ties == 0 {
+		t.Fatal("instance has no equal spreads; the tie order is untested")
 	}
 }
 

@@ -18,7 +18,9 @@
 package baseline
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"tdmroute/internal/graph"
 	"tdmroute/internal/problem"
@@ -195,41 +197,7 @@ func netsBySpread(in *problem.Instance, apsp *graph.APSP) []int {
 	for i := range order {
 		order[i] = i
 	}
-	// Insertion-stable sort by decreasing spread.
-	sortBy(order, func(a, b int) bool { return spread[a] > spread[b] })
+	// Stable sort by decreasing spread: equal spreads keep netlist order.
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(spread[b], spread[a]) })
 	return order
-}
-
-// sortBy is a small stable merge sort to keep the package free of closures
-// over sort.SliceStable in hot paths.
-func sortBy(s []int, less func(a, b int) bool) {
-	if len(s) < 2 {
-		return
-	}
-	mid := len(s) / 2
-	left := append([]int(nil), s[:mid]...)
-	right := append([]int(nil), s[mid:]...)
-	sortBy(left, less)
-	sortBy(right, less)
-	i, j, k := 0, 0, 0
-	for i < len(left) && j < len(right) {
-		if less(right[j], left[i]) {
-			s[k] = right[j]
-			j++
-		} else {
-			s[k] = left[i]
-			i++
-		}
-		k++
-	}
-	for i < len(left) {
-		s[k] = left[i]
-		i++
-		k++
-	}
-	for j < len(right) {
-		s[k] = right[j]
-		j++
-		k++
-	}
 }

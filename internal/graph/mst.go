@@ -1,8 +1,9 @@
 package graph
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 )
 
 // WeightedEdge is an edge of an abstract weighted graph handed to Kruskal.
@@ -20,23 +21,11 @@ type WeightedEdge struct {
 // sort, so the result is deterministic.
 //
 // When the input graph is connected the result is a spanning tree with
-// exactly n-1 edges (for n >= 1).
+// exactly n-1 edges (for n >= 1). It is MSTAppend on a fresh scratch and a
+// freshly allocated result.
 func Kruskal(n int, edges []WeightedEdge) []WeightedEdge {
-	sorted := make([]WeightedEdge, len(edges))
-	copy(sorted, edges)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Weight < sorted[j].Weight })
-
-	dsu := NewDSU(n)
-	tree := make([]WeightedEdge, 0, max(0, n-1))
-	for _, e := range sorted {
-		if dsu.Union(e.U, e.V) {
-			tree = append(tree, e)
-			if len(tree) == n-1 {
-				break
-			}
-		}
-	}
-	return tree
+	var s KruskalScratch
+	return s.MSTAppend(make([]WeightedEdge, 0, max(0, n-1)), n, edges)
 }
 
 // KruskalScratch owns the reusable state of repeated Kruskal runs: the DSU
@@ -53,7 +42,7 @@ type KruskalScratch struct {
 func (s *KruskalScratch) MSTAppend(dst []WeightedEdge, n int, edges []WeightedEdge) []WeightedEdge {
 	s.sorted = append(s.sorted[:0], edges...)
 	sorted := s.sorted
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Weight < sorted[j].Weight })
+	slices.SortStableFunc(sorted, func(a, b WeightedEdge) int { return cmp.Compare(a.Weight, b.Weight) })
 
 	s.dsu.Reset(n)
 	want := len(dst) + max(0, n-1)
@@ -77,13 +66,6 @@ func MSTCost(tree []WeightedEdge) int64 {
 		total = satAdd(total, e.Weight)
 	}
 	return total
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // satAdd adds two edge weights, clamping at the int64 extremes instead of

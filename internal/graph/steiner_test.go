@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -188,6 +189,44 @@ func BenchmarkSteinerClean(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, ok := sc.Clean(all, terms); !ok {
 			b.Fatal("clean failed")
+		}
+	}
+}
+
+// TestTwoPinTreeIsPath pins the lemma behind the router's 2-pin shortcut:
+// cleaning a single shortest path over its two endpoints returns the path
+// itself, edge for edge and in order. The BFS from the source visits the
+// path's vertices in path order, and the only leaf is the other terminal,
+// so nothing is trimmed. The graphs are multigraphs with self-loops, and
+// the costs come from a tiny range, so equal-cost ties are everywhere.
+func TestTwoPinTreeIsPath(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(30)
+		g := randomConnected(n, rng.Intn(3*n), rng)
+		for k := rng.Intn(n); k > 0; k-- { // parallel edges
+			e := g.Edge(rng.Intn(g.NumEdges()))
+			g.AddEdge(e.U, e.V)
+		}
+		g.AddEdge(rng.Intn(n), rng.Intn(n)) // possibly a self-loop
+		cost := make([]uint64, g.NumEdges())
+		for e := range cost {
+			cost[e] = uint64(rng.Intn(3))
+		}
+		dij, sc := NewDijkstra(g), NewSteinerCleaner(g)
+		for q := 0; q < 20; q++ {
+			s, d := rng.Intn(n), rng.Intn(n)
+			path, ok := dij.ShortestPath(s, d, cost, nil)
+			if !ok {
+				t.Fatalf("seed %d: %d→%d unreachable in a connected graph", seed, s, d)
+			}
+			tree, ok := sc.CleanAppend(nil, path, []int{s, d})
+			if !ok {
+				t.Fatalf("seed %d: path %v does not connect %d and %d", seed, path, s, d)
+			}
+			if !slices.Equal(tree, path) {
+				t.Fatalf("seed %d, %d→%d: cleaned tree %v, want the path %v", seed, s, d, tree, path)
+			}
 		}
 	}
 }

@@ -82,7 +82,7 @@ func (r *router) routePartitioned(ctx context.Context, order []int) error {
 	// Each region routes a whole net sequence: always worth a fork.
 	if err := par.ForMinCtx(ctx, p, workers, 1, math.MaxInt, func(chunk, s, e int) {
 		w := pws[chunk]
-		regUsage := make([]uint32, r.in.G.NumEdges())
+		regUsage := make([]uint64, r.in.G.NumEdges())
 		for reg := s; reg < e; reg++ {
 			for i := range regUsage {
 				regUsage[i] = 0

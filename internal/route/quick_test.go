@@ -54,7 +54,7 @@ func TestQuickRipUpUsageConsistent(t *testing.T) {
 				return false
 			}
 			// usage must equal the recount at every point.
-			recount := make([]uint32, in.G.NumEdges())
+			recount := make([]uint64, in.G.NumEdges())
 			for _, edges := range r.routes {
 				for _, e := range edges {
 					recount[e]++

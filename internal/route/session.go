@@ -212,8 +212,10 @@ func (s *Session) Remove(nets []int) error {
 }
 
 // MaxEdgeBias bounds the cumulative phantom load AddEdgeBias may pile onto
-// one edge. Usage is a uint32 shared with real net loads; the cap keeps the
-// sum comfortably inside the counter on any realistic instance.
+// one edge. Usage is a uint64 shared with real net loads, and the searches
+// read it in place as edge costs; the cap keeps every edge cost, and so
+// every path cost, far inside the search key's Primary range on any
+// realistic instance.
 const MaxEdgeBias = 1 << 20
 
 // AddEdgeBias adds delta phantom nets of congestion to an edge — the ECO
@@ -238,7 +240,7 @@ func (s *Session) AddEdgeBias(edge, delta int) error {
 		return fmt.Errorf("route: edge %d cumulative bias %d exceeds the maximum %d", edge, nb, MaxEdgeBias)
 	}
 	s.bias[edge] = nb
-	r.usage[edge] = uint32(problem.SatAdd64(int64(r.usage[edge]), int64(delta)))
+	r.usage[edge] = uint64(problem.SatAdd64(int64(r.usage[edge]), int64(delta)))
 	return nil
 }
 

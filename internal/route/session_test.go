@@ -139,7 +139,7 @@ func TestSessionUndoReroute(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := s.Routes()
-	usageBefore := append([]uint32(nil), s.r.usage...)
+	usageBefore := append([]uint64(nil), s.r.usage...)
 
 	nets := in.Groups[0].Nets
 	if err := s.Reroute(context.Background(), nets); err != nil {
@@ -175,7 +175,7 @@ func TestSessionRerouteRollbackOnCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := s.Routes()
-	usageBefore := append([]uint32(nil), s.r.usage...)
+	usageBefore := append([]uint64(nil), s.r.usage...)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
