@@ -1,12 +1,12 @@
 // Delta/ECO re-solve: ModeDelta patches the retained warm state of a
 // previous solve — the routing session with its APSP LUT, memoized terminal
-// MSTs and usage substrate, and the TDM session with its spliced CSR
-// incidence and captured multipliers — and re-solves only the nets a change
-// actually touches. An engineering change order (ECO) that edits a handful
-// of nets therefore costs O(changed) routing work plus a warm-started
-// relaxation, instead of the O(instance) cold pipeline, while producing a
-// solution byte-identical to cold-solving the patched instance (the
-// runDeltaCold test reference, pinned by the delta equivalence suite).
+// MSTs and usage substrate, and the TDM session's LR buffers and captured
+// multipliers — and re-routes only the nets a change actually touches. An
+// engineering change order (ECO) that edits a handful of nets therefore
+// costs O(changed) routing work plus a warm-started relaxation, instead of
+// the O(instance) cold pipeline, while producing a solution byte-identical
+// to cold-solving the patched instance (the runDeltaCold test reference,
+// pinned by the delta equivalence suite).
 package tdmroute
 
 import (
@@ -256,11 +256,6 @@ type WarmHandle struct {
 	rs     *route.Session
 	ts     *tdm.Session
 	lambda []float64
-	// stale lists nets whose TDM-session routes lag the routing session: a
-	// rejected or curtailed final feedback round leaves the TDM state
-	// patched to the dropped candidate while the routing session holds the
-	// accepted topology. The next delta folds stale into its changed set.
-	stale []int
 	// err poisons the handle: a delta that failed after mutating the state
 	// leaves it unusable, and every later use reports the original failure.
 	err error
@@ -312,8 +307,8 @@ func stageDegraded(ctx context.Context, stage Stage, rep Report) *Degraded {
 }
 
 // runDelta is the ModeDelta arm of Run: validate the delta against the
-// handle, patch the instance and both sessions, reroute only the affected
-// nets, and re-run the assignment warm-started from the captured
+// handle, patch the instance and the routing session, reroute only the
+// affected nets, and re-run the assignment warm-started from the captured
 // multipliers. The result is byte-identical to cold-solving the patched
 // instance from the same pre-delta routing (the runDeltaCold test
 // reference).
@@ -372,11 +367,6 @@ func runDelta(ctx context.Context, req Request) (*Response, error) {
 		RippedNets: len(affected) - len(added) + len(req.Delta.RemoveNets),
 	}
 
-	changed := make([]int, 0, len(affected)+len(req.Delta.RemoveNets)+len(h.stale))
-	changed = append(changed, affected...)
-	changed = append(changed, req.Delta.RemoveNets...)
-	changed = append(changed, h.stale...)
-
 	// Progress wiring and the multiplier callback come from this request,
 	// not from the request that built the handle.
 	topt := h.opt.TDM
@@ -384,14 +374,13 @@ func runDelta(ctx context.Context, req Request) (*Response, error) {
 	topt.CaptureLambda = req.Options.TDM.CaptureLambda
 	topt.WarmLambda = h.lambda
 	var captured []float64
-	assign, rep, times, stage, err := assignTimed(ctx, h.ts, changed, h.in, h.rs.RoutesAlias(), captureLambda(topt, &captured))
+	assign, rep, times, stage, err := assignTimed(ctx, h.ts, h.in, h.rs.RoutesAlias(), captureLambda(topt, &captured))
 	res.Times.LR = times.LR
 	res.Times.LegalRefine = times.LegalRefine
 	if err != nil {
 		h.err = err
 		return nil, err
 	}
-	h.stale = nil
 	if captured != nil {
 		h.lambda = captured
 	}

@@ -213,9 +213,10 @@ func TestDeltaMatchesColdReference(t *testing.T) {
 }
 
 // TestDeltaAfterIterativeRetain covers the ModeIterative retention path: the
-// warm handle of an iterated solve — whose TDM session typically lags the
-// routing session by the final rejected feedback round (the stale set) —
-// must still produce a delta solve byte-identical to the cold reference.
+// warm handle of an iterated solve — whose TDM session last solved the
+// final rejected feedback round's candidate, not the routing session's
+// accepted topology — must still produce a delta solve byte-identical to
+// the cold reference.
 func TestDeltaAfterIterativeRetain(t *testing.T) {
 	in1 := equivInstance(t, "synopsys01", 13)
 	in2 := in1.Clone()
@@ -284,9 +285,8 @@ func TestRetainMatchesThrowaway(t *testing.T) {
 // a fresh routing session from the pre-delta topology, replay the cumulative
 // edge bias, reroute the affected nets, and run a cold LR build warm-started
 // from the same multipliers. priorBias replays bias applied by earlier
-// deltas on the same warm state; stale plays the role of WarmHandle.stale
-// (it only widens the changed set, which the cold build ignores anyway). The
-// returned routing and multipliers chain into the next cold step.
+// deltas on the same warm state. The returned routing and multipliers chain
+// into the next cold step.
 func runDeltaCold(ctx context.Context, in *Instance, base Routing, priorBias []EdgeBiasEdit, lambda []float64, d *Delta, opt Options) (*Response, Routing, []float64, error) {
 	opt, optErr := opt.normalized()
 	if optErr != nil {
@@ -340,7 +340,7 @@ func runDeltaCold(ctx context.Context, in *Instance, base Routing, priorBias []E
 	topt.WarmLambda = lambda
 	var captured []float64
 	topt.CaptureLambda = func(l []float64) { captured = l }
-	assign, rep, times, stage, err := assignTimed(ctx, tdm.NewSession(in), nil, in, rs.RoutesAlias(), topt)
+	assign, rep, times, stage, err := assignTimed(ctx, tdm.NewSession(in), in, rs.RoutesAlias(), topt)
 	res.Times.LR = times.LR
 	res.Times.LegalRefine = times.LegalRefine
 	if err != nil {

@@ -23,7 +23,7 @@ import (
 //
 // Assign is Session.Assign on a fresh session.
 func Assign(ctx context.Context, in *problem.Instance, routes problem.Routing, opt Options) (problem.Assignment, Report, error) {
-	return NewSession(in).Assign(ctx, routes, nil, opt)
+	return NewSession(in).Assign(ctx, routes, opt)
 }
 
 // Finish legalizes a relaxed assignment and applies the refinement passes,

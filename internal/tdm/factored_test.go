@@ -195,12 +195,12 @@ func (r *cellRef) runLR(routes problem.Routing) lrRun {
 }
 
 // sessionRun solves routes on ses, recording the trace.
-func sessionRun(t testing.TB, ses *Session, routes problem.Routing, changed []int, opt Options) lrRun {
+func sessionRun(t testing.TB, ses *Session, routes problem.Routing, opt Options) lrRun {
 	t.Helper()
 	var run lrRun
 	opt.Trace = func(_ int, z, lb float64) { run.trace = append(run.trace, z, lb) }
 	var stopped error
-	run.ratios, run.z, run.lb, run.iters, run.converged, stopped = ses.RunLR(context.Background(), routes, changed, opt)
+	run.ratios, run.z, run.lb, run.iters, run.converged, stopped = ses.RunLR(context.Background(), routes, opt)
 	if stopped != nil {
 		t.Fatal(stopped)
 	}
@@ -301,24 +301,30 @@ func refInstance(rng *rand.Rand, nv, nn, ng int) (*problem.Instance, problem.Rou
 }
 
 // mutateRefRoutes is mutateRoutes that also gives the first rerouted net an
-// empty route and the last one a route that repeats an edge, so the splice
-// moves both kinds of route in and out.
-func mutateRefRoutes(rng *rand.Rand, in *problem.Instance, routes problem.Routing) (problem.Routing, []int) {
-	next, changed := mutateRoutes(rng, in, routes)
-	if len(changed) >= 3 {
-		next[changed[0]] = nil
-		if last := changed[len(changed)-2]; len(next[last]) > 0 {
+// empty route and the last one a route that repeats an edge, so a reused
+// session's builds see both kinds of route come and go.
+func mutateRefRoutes(rng *rand.Rand, in *problem.Instance, routes problem.Routing) problem.Routing {
+	next := mutateRoutes(rng, in, routes)
+	var moved []int
+	for n := range next {
+		if !slices.Equal(next[n], routes[n]) {
+			moved = append(moved, n)
+		}
+	}
+	if len(moved) >= 2 {
+		next[moved[0]] = nil
+		if last := moved[len(moved)-1]; len(next[last]) > 0 {
 			next[last] = append(append([]int(nil), next[last]...), next[last][0])
 		}
 	}
-	return next, changed
+	return next
 }
 
 // TestFactoredSweepsMatchCellReference checks that the factored sweeps —
 // per-edge sums, per-net TDMs from those sums in route order, ungrouped
 // nets skipped, the snapshot edgeSum ‖ sqrtPi — give z, the lower bound,
 // every iteration's trace and every relaxed ratio bit for bit as the
-// per-cell sweeps did, on fresh sessions and on a session patched across
+// per-cell sweeps did, on fresh sessions and on a session reused across
 // six reroute steps.
 func TestFactoredSweepsMatchCellReference(t *testing.T) {
 	type shape struct{ nv, nn, ng, iters int }
@@ -339,18 +345,17 @@ func TestFactoredSweepsMatchCellReference(t *testing.T) {
 				opt := Options{Workers: workers, MaxIter: sh.iters, Update: update}
 				ses := NewSession(in)
 				cur := routes
-				var changed []int
 				steps := 6
 				if sh == big {
 					steps = 2
 				}
 				for step := 0; step < steps; step++ {
-					got := sessionRun(t, ses, cur, changed, opt)
+					got := sessionRun(t, ses, cur, opt)
 					want := newCellRef(t, in, cur, opt).runLR(cur)
 					if d := diffRun(got, want); d != "" {
 						t.Fatalf("shape %d workers %d update %d step %d: %s differs", si, workers, update, step, d)
 					}
-					cur, changed = mutateRefRoutes(rng, in, cur)
+					cur = mutateRefRoutes(rng, in, cur)
 				}
 			}
 		}
@@ -438,7 +443,7 @@ func FuzzFactoredLR(f *testing.F) {
 		}
 
 		opt.WarmLambda = lambda
-		run := sessionRun(t, NewSession(in), routes, nil, opt)
+		run := sessionRun(t, NewSession(in), routes, opt)
 		if d := diffRun(run, newCellRef(t, in, routes, opt).runLR(routes)); d != "" {
 			t.Fatalf("run: %s differs", d)
 		}

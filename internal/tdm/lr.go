@@ -29,7 +29,7 @@ type lrState struct {
 	// every iteration (computePi, groupTDMs) stream int32 arrays instead of
 	// chasing per-net/per-group slice headers. Iteration order is identical
 	// to the nested slices, so every float accumulation is bit-identical.
-	// Rebuilt by resetRun: group membership can change across ECO patches.
+	// Rebuilt by every build: group membership can change across ECO deltas.
 	netGrpStart []int32
 	netGrp      []int32
 	grpNetStart []int32
@@ -47,27 +47,29 @@ type lrState struct {
 	windows *groupWindows // SMA history of normalized group TDMs
 }
 
-// newLRState allocates state for the given topology. It fails on a route
-// naming an edge outside the instance's graph.
-func newLRState(in *problem.Instance, routes problem.Routing, opt Options) (*lrState, error) {
-	numEdges := in.G.NumEdges()
-	s := &lrState{
-		in:      in,
-		opt:     opt,
-		lambda:  make([]float64, len(in.Groups)),
-		sqrtPi:  make([]float64, len(in.Nets)),
-		sqrtPiX: make([]float64, len(in.Nets)),
-		edgeSum: make([]float64, numEdges),
-		netTDM:  make([]float64, len(in.Nets)),
-		grpTDM:  make([]float64, len(in.Groups)),
-		windows: newGroupWindows(len(in.Groups), opt.Window),
-	}
-	// Build the edge-major CSR in one counting pass.
-	s.edgeStart = make([]int32, numEdges+1)
+// build (re)builds the state for routes on in under opt, whose defaults
+// must already be applied: the edge-major CSR, the membership CSRs and the
+// ungrouped nets' weights, the multipliers of line 2 of Algorithm 1 and
+// empty SMA windows. Every array is sized from the instance and reuses the
+// capacity an earlier build left, so a session stops allocating here once
+// it has seen its largest routing. It fails on a route naming an edge
+// outside the instance's graph; the next build starts over regardless.
+// edgeSum, netTDM and grpTDM are only sized: the first sweep writes every
+// entry anything reads.
+func (s *lrState) build(in *problem.Instance, routes problem.Routing, opt Options) error {
+	numEdges, numGroups := in.G.NumEdges(), len(in.Groups)
+	s.in, s.opt = in, opt
+
+	// Count each edge's cells into edgeStart[e+1] and take prefix sums;
+	// then fill with edgeStart[e] as edge e's write cursor (so its cells
+	// are in ascending net order) and shift the advanced cursors, which now
+	// hold each edge's end, back by one slot.
+	s.edgeStart = resize(s.edgeStart, numEdges+1)
+	clear(s.edgeStart)
 	for n, edges := range routes {
 		for _, e := range edges {
 			if uint(e) >= uint(numEdges) {
-				return nil, errEdgeRange(n, e, numEdges)
+				return errEdgeRange(n, e, numEdges)
 			}
 			s.edgeStart[e+1]++
 		}
@@ -75,17 +77,38 @@ func newLRState(in *problem.Instance, routes problem.Routing, opt Options) (*lrS
 	for e := 0; e < numEdges; e++ {
 		s.edgeStart[e+1] += s.edgeStart[e]
 	}
-	s.cellNet = make([]int32, s.edgeStart[numEdges])
-	fill := append([]int32(nil), s.edgeStart[:numEdges]...)
+	s.cellNet = resize(s.cellNet, int(s.edgeStart[numEdges]))
 	for n, edges := range routes {
 		for _, e := range edges {
-			s.cellNet[fill[e]] = int32(n)
-			fill[e]++
+			s.cellNet[s.edgeStart[e]] = int32(n)
+			s.edgeStart[e]++
 		}
 	}
+	copy(s.edgeStart[1:], s.edgeStart[:numEdges])
+	s.edgeStart[0] = 0
+
+	s.lambda = resize(s.lambda, numGroups)
+	s.sqrtPi = resize(s.sqrtPi, len(in.Nets))
+	s.sqrtPiX = resize(s.sqrtPiX, len(in.Nets))
+	s.edgeSum = resize(s.edgeSum, numEdges)
+	s.netTDM = resize(s.netTDM, len(in.Nets))
+	s.grpTDM = resize(s.grpTDM, numGroups)
 	s.buildMembership()
 	s.initLambda(opt)
-	return s, nil
+	if s.windows == nil || s.windows.w != opt.Window || len(s.windows.count) != numGroups {
+		s.windows = newGroupWindows(numGroups, opt.Window)
+	} else {
+		s.windows.reset()
+	}
+	return nil
+}
+
+// resize returns b with length n, reusing its capacity when it suffices.
+func resize[T any](b []T, n int) []T {
+	if cap(b) >= n {
+		return b[:n]
+	}
+	return make([]T, n)
 }
 
 // errEdgeRange reports a route of net n naming edge e outside the graph.
@@ -163,24 +186,6 @@ func (s *lrState) initLambda(opt Options) {
 				s.lambda[i] = 1 / float64(g)
 			}
 		}
-	}
-}
-
-// resetRun returns a (possibly patched) state to the exact condition
-// newLRState leaves a fresh one in: options installed, membership and the
-// ungrouped nets' weights rebuilt, multipliers re-initialized per line 2 of
-// Algorithm 1, SMA windows emptied. opt must already have defaults
-// applied. edgeSum, netTDM and grpTDM are untouched: the first sweep
-// rewrites every entry anything reads, so stale values never leak into a
-// new run.
-func (s *lrState) resetRun(opt Options) {
-	s.opt = opt
-	s.buildMembership()
-	s.initLambda(opt)
-	if s.windows.w != opt.Window {
-		s.windows = newGroupWindows(len(s.in.Groups), opt.Window)
-	} else {
-		s.windows.reset()
 	}
 }
 
@@ -481,13 +486,11 @@ func (s *lrState) updateSubgradient(z, lb, bestZ float64) {
 // RunLR is Session.RunLR on a fresh session: the one-shot form for callers
 // that solve a topology once.
 func RunLR(ctx context.Context, in *problem.Instance, routes problem.Routing, opt Options) (ratios [][]float64, z, lb float64, iters int, converged bool, stopped error) {
-	return NewSession(in).RunLR(ctx, routes, nil, opt)
+	return NewSession(in).RunLR(ctx, routes, opt)
 }
 
-// runLRCore is the iteration loop of Algorithm 1 over a prebuilt state, run
-// by Session.RunLR: the state's multipliers and windows must already be
-// initialized for a fresh run (newLRState and resetRun are equivalent by
-// construction).
+// runLRCore is the iteration loop of Algorithm 1 over a state that
+// lrState.build has just built for routes, run by Session.RunLR.
 //
 // bestBuf's capacity is reused for the best-pattern snapshot, so a
 // session's steady state allocates nothing per round beyond the returned

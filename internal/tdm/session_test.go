@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"tdmroute/internal/graph"
@@ -11,17 +12,15 @@ import (
 )
 
 // mutateRoutes rewrites a random subset of 2-terminal routes using freshly
-// randomized edge costs, returning the new routing (the input is not
-// modified) and the changed-net list. Some listed nets may receive the same
-// path they already had — the Session contract allows that.
-func mutateRoutes(rng *rand.Rand, in *problem.Instance, routes problem.Routing) (problem.Routing, []int) {
+// randomized edge costs and returns the new routing; the input is not
+// modified. Some rewritten nets may receive the same path they already had.
+func mutateRoutes(rng *rand.Rand, in *problem.Instance, routes problem.Routing) problem.Routing {
 	next := append(problem.Routing(nil), routes...)
 	costs := make([]uint64, in.G.NumEdges())
 	for e := range costs {
 		costs[e] = 1 + uint64(rng.Intn(5))
 	}
 	d := graph.NewDijkstra(in.G)
-	var changed []int
 	for n := range next {
 		if rng.Intn(3) != 0 {
 			continue
@@ -32,13 +31,8 @@ func mutateRoutes(rng *rand.Rand, in *problem.Instance, routes problem.Routing) 
 			continue
 		}
 		next[n] = path
-		changed = append(changed, n)
 	}
-	// Exercise the contract's slack: a listed net with an unchanged route.
-	if len(routes) > 0 {
-		changed = append(changed, rng.Intn(len(routes)))
-	}
-	return next, changed
+	return next
 }
 
 func equalI32(a, b []int32) bool {
@@ -53,46 +47,14 @@ func equalI32(a, b []int32) bool {
 	return true
 }
 
-// mustLRState is newLRState on a routing known to be in range.
+// mustLRState builds a fresh state on a routing known to be in range.
 func mustLRState(t testing.TB, in *problem.Instance, routes problem.Routing, opt Options) *lrState {
 	t.Helper()
-	s, err := newLRState(in, routes, opt)
-	if err != nil {
+	s := new(lrState)
+	if err := s.build(in, routes, opt); err != nil {
 		t.Fatal(err)
 	}
 	return s
-}
-
-// TestSessionPatchMatchesColdBuild drives random reroute sequences through
-// patch and checks both CSR arrays stay element-for-element equal to a
-// cold newLRState build on the same routing. This is the exactness proof of
-// the splice: equal arrays plus equal multiplier init make every downstream
-// float operation bit-identical.
-func TestSessionPatchMatchesColdBuild(t *testing.T) {
-	rng := rand.New(rand.NewSource(71))
-	opt := Options{}.withDefaults()
-	for trial := 0; trial < 30; trial++ {
-		in, routes := randomAssignInstance(rng)
-		ses := &Session{
-			in:     in,
-			s:      mustLRState(t, in, routes, opt),
-			routes: append(problem.Routing(nil), routes...),
-		}
-		for step := 0; step < 6; step++ {
-			next, changed := mutateRoutes(rng, in, ses.routes)
-			if err := ses.patch(next, changed); err != nil {
-				t.Fatal(err)
-			}
-			ses.routes = append(ses.routes[:0], next...)
-			cold := mustLRState(t, in, next, opt)
-			if !equalI32(ses.s.edgeStart, cold.edgeStart) {
-				t.Fatalf("trial %d step %d: edgeStart diverged", trial, step)
-			}
-			if !equalI32(ses.s.cellNet, cold.cellNet) {
-				t.Fatalf("trial %d step %d: cellNet diverged", trial, step)
-			}
-		}
-	}
 }
 
 // sameFloat compares bit patterns: the session path must reproduce the cold
@@ -101,9 +63,22 @@ func sameFloat(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b)
 }
 
+// addNet appends to in a net with the terminals of a random existing net,
+// joins it to a random group, and returns routes extended with its route.
+func addNet(rng *rand.Rand, in *problem.Instance, routes problem.Routing) problem.Routing {
+	src := rng.Intn(len(routes))
+	in.Nets = append(in.Nets, problem.Net{Terminals: append([]int(nil), in.Nets[src].Terminals...)})
+	gi := rng.Intn(len(in.Groups))
+	in.Groups[gi].Nets = append(in.Groups[gi].Nets, len(in.Nets)-1)
+	in.RebuildNetGroups()
+	return append(routes.Clone(), append([]int(nil), routes[src]...))
+}
+
 // TestSessionRunLRMatchesCold runs a reroute sequence through one Session
 // and, at every step, through a cold package RunLR, requiring bit-identical
-// ratios, objectives, and iteration counts at worker counts 1 and 4.
+// ratios, objectives, and iteration counts at worker counts 1 and 4. One
+// step also appends a net to the instance, so the reused session must
+// resize its per-net state and rebuild the group membership.
 func TestSessionRunLRMatchesCold(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		rng := rand.New(rand.NewSource(101))
@@ -112,9 +87,11 @@ func TestSessionRunLRMatchesCold(t *testing.T) {
 			opt := Options{Workers: workers, MaxIter: 40}
 			ses := NewSession(in)
 			cur := routes
-			var changed []int
-			for step := 0; step < 4; step++ {
-				wr, wz, wlb, wit, wconv, wstop := ses.RunLR(context.Background(), cur, changed, opt)
+			for step := 0; step < 5; step++ {
+				if step == 2 {
+					cur = addNet(rng, in, cur)
+				}
+				wr, wz, wlb, wit, wconv, wstop := ses.RunLR(context.Background(), cur, opt)
 				cr, cz, clb, cit, cconv, cstop := RunLR(context.Background(), in, cur, opt)
 				if (wstop == nil) != (cstop == nil) {
 					t.Fatalf("workers=%d trial %d step %d: stopped %v vs %v", workers, trial, step, wstop, cstop)
@@ -137,7 +114,7 @@ func TestSessionRunLRMatchesCold(t *testing.T) {
 						}
 					}
 				}
-				cur, changed = mutateRoutes(rng, in, cur)
+				cur = mutateRoutes(rng, in, cur)
 			}
 		}
 	}
@@ -153,9 +130,8 @@ func TestSessionAssignMatchesCold(t *testing.T) {
 		opt := Options{MaxIter: 30}
 		ses := NewSession(in)
 		cur := routes
-		var changed []int
 		for step := 0; step < 3; step++ {
-			wa, wrep, werr := ses.Assign(context.Background(), cur, changed, opt)
+			wa, wrep, werr := ses.Assign(context.Background(), cur, opt)
 			ca, crep, cerr := Assign(context.Background(), in, cur, opt)
 			if (werr == nil) != (cerr == nil) {
 				t.Fatalf("trial %d step %d: err %v vs %v", trial, step, werr, cerr)
@@ -175,35 +151,34 @@ func TestSessionAssignMatchesCold(t *testing.T) {
 					}
 				}
 			}
-			cur, changed = mutateRoutes(rng, in, cur)
+			cur = mutateRoutes(rng, in, cur)
 		}
 	}
 }
 
 // TestSessionSurvivesCancelledRound checks a cancelled round leaves the
-// session consistent: the CSR state was already patched to the round's
-// topology, so continuing the sequence must still match cold builds.
+// session usable: continuing the sequence must still match cold builds.
 func TestSessionSurvivesCancelledRound(t *testing.T) {
 	rng := rand.New(rand.NewSource(303))
 	in, routes := randomAssignInstance(rng)
 	opt := Options{MaxIter: 40}
 	ses := NewSession(in)
-	if _, _, _, _, _, stop := ses.RunLR(context.Background(), routes, nil, opt); stop != nil {
+	if _, _, _, _, _, stop := ses.RunLR(context.Background(), routes, opt); stop != nil {
 		t.Fatal(stop)
 	}
-	next, changed := mutateRoutes(rng, in, routes)
+	next := mutateRoutes(rng, in, routes)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	ratios, _, _, _, _, stop := ses.RunLR(ctx, next, changed, opt)
+	ratios, _, _, _, _, stop := ses.RunLR(ctx, next, opt)
 	if stop == nil {
 		t.Fatal("cancelled round must report the stop cause")
 	}
 	if ratios == nil {
 		t.Fatal("cancelled round must still return the fallback incumbent")
 	}
-	// The next (uncancelled) round continues from the patched state.
-	next2, changed2 := mutateRoutes(rng, in, next)
-	wr, wz, _, _, _, stop := ses.RunLR(context.Background(), next2, changed2, opt)
+	// The next (uncancelled) round runs on the same session.
+	next2 := mutateRoutes(rng, in, next)
+	wr, wz, _, _, _, stop := ses.RunLR(context.Background(), next2, opt)
 	if stop != nil {
 		t.Fatal(stop)
 	}
@@ -220,39 +195,42 @@ func TestSessionSurvivesCancelledRound(t *testing.T) {
 	}
 }
 
-// TestSessionPatchZeroAlloc pins the steady-state claim: once the spare
-// buffers have grown to the working size, patching an unchanged round and
-// resetting the run state allocates nothing.
-func TestSessionPatchZeroAlloc(t *testing.T) {
+// TestSessionBuildZeroAlloc pins the reuse claim: once a session's state
+// has been built for two routings of one instance whose routes differ,
+// rebuilding it for either allocates nothing.
+func TestSessionBuildZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed by the race detector")
 	}
 	rng := rand.New(rand.NewSource(404))
 	in, routes := randomAssignInstance(rng)
+	next := mutateRoutes(rng, in, routes)
+	differ := false
+	for n := range routes {
+		differ = differ || !slices.Equal(routes[n], next[n])
+	}
+	if !differ {
+		t.Fatal("mutateRoutes left every route as it was")
+	}
 	opt := Options{}.withDefaults()
-	ses := &Session{
-		in:     in,
-		s:      mustLRState(t, in, routes, opt),
-		routes: append(problem.Routing(nil), routes...),
-	}
-	changed := make([]int, len(routes))
-	for n := range changed {
-		changed[n] = n
-	}
-	// Warm the scratch and spare buffers.
-	for i := 0; i < 3; i++ {
-		if err := ses.patch(routes, changed); err != nil {
+	ses := NewSession(in)
+	build := func(r problem.Routing) {
+		if err := ses.s.build(in, r, opt); err != nil {
 			t.Fatal(err)
 		}
-		ses.s.resetRun(opt)
 	}
+	build(routes)
+	build(next)
+	round := 0
 	allocs := testing.AllocsPerRun(100, func() {
-		if err := ses.patch(routes, changed); err != nil {
-			t.Fatal(err)
+		if round%2 == 0 {
+			build(routes)
+		} else {
+			build(next)
 		}
-		ses.s.resetRun(opt)
+		round++
 	})
 	if allocs != 0 {
-		t.Fatalf("patched-LR setup allocates %v times per round, want 0", allocs)
+		t.Fatalf("reused LR state build allocates %v times per round, want 0", allocs)
 	}
 }

@@ -29,17 +29,17 @@ import (
 // error and carries the incumbent and the stage times of all work done.
 //
 // The whole run shares the routing and TDM sessions of h: the APSP LUT,
-// terminal MSTs, search scratch, and the CSR incidence of the LR are built
-// once by the base solve (the ModeSingle pipeline, solveBaseSession) and
-// patched incrementally by every feedback round. The results are
-// byte-identical to rebuilding each stage from scratch (the
-// solveIterativeCold test reference); only the wall clock differs. The base
-// assignment's own LR captures λ for the first warm start, instead of
-// re-running a full relaxation on the accepted topology.
+// terminal MSTs and search scratch are built once by the base solve (the
+// ModeSingle pipeline, solveBaseSession), every feedback round reroutes in
+// place, and the TDM session rebuilds its LR state into the buffers the
+// previous round left. The results are byte-identical to rebuilding each
+// stage from scratch (the solveIterativeCold test reference); only the wall
+// clock differs. The base assignment's own LR captures λ for the first warm
+// start, instead of re-running a full relaxation on the accepted topology.
 //
-// On return h holds the final multipliers and the stale-net bookkeeping, so
-// the caller can hand it out for later ModeDelta requests (Request.Retain);
-// the caller must discard it when runIterative also returns an error.
+// On return h holds the final multipliers, so the caller can hand it out
+// for later ModeDelta requests (Request.Retain); the caller must discard it
+// when runIterative also returns an error.
 func runIterative(ctx context.Context, req Request, h *WarmHandle) (*Response, error) {
 	rounds := req.Rounds
 	if rounds == 0 {
@@ -72,8 +72,8 @@ func runIterative(ctx context.Context, req Request, h *WarmHandle) (*Response, e
 		if err != nil {
 			if isInterruption(err) {
 				stop = err // incumbent stands; the round's candidate is dropped
-				// A contained panic may have interrupted the TDM session
-				// mid-splice; a cancellation stops only at clean
+				// A contained panic may have interrupted the routing
+				// session mid-reroute; a cancellation stops only at clean
 				// boundaries. Poison the handle on the former.
 				var pe *par.PanicError
 				if errors.As(err, &pe) {
@@ -108,15 +108,10 @@ func runIterative(ctx context.Context, req Request, h *WarmHandle) (*Response, e
 
 // feedbackRoundSession is feedbackRoundCold (the test reference) running in
 // place on the shared sessions: the critical group is rerouted inside the
-// routing session and the LR state is patched with just those nets. On
-// rejection or error the reroute is undone, restoring the accepted topology. (A rejected or failed
-// round always ends the loop, so the TDM session — already patched to the
-// dropped candidate — is not consulted again within this run.)
-//
-// h.stale records the nets whose routes the TDM session was patched with
-// this round; it is cleared when the round is accepted, so after the loop it
-// names exactly the nets on which the TDM session lags the routing session.
-// A retained warm handle folds it into the next delta's changed set.
+// routing session and the TDM session rebuilds its LR state for the
+// candidate. On rejection or error the reroute is undone, restoring the
+// accepted topology; the TDM session keeps nothing of the candidate that a
+// later call would read.
 func feedbackRoundSession(ctx context.Context, res *Response, h *WarmHandle) (bool, error) {
 	in, rs := h.in, h.rs
 	cur := res.Solution
@@ -143,11 +138,7 @@ func feedbackRoundSession(ctx context.Context, res *Response, h *WarmHandle) (bo
 	topt := h.opt.TDM
 	topt.WarmLambda = h.lambda
 	var captured []float64
-	// Copy rather than alias the group's member list: it outlives the round
-	// inside a retained warm handle, while delta group edits mutate the
-	// instance's slices in place.
-	h.stale = append([]int(nil), members...)
-	assign, rep, times, _, err := assignTimed(ctx, h.ts, members, in, candidate, captureLambda(topt, &captured))
+	assign, rep, times, _, err := assignTimed(ctx, h.ts, in, candidate, captureLambda(topt, &captured))
 	res.Times.LR += times.LR
 	res.Times.LegalRefine += times.LegalRefine
 	if err != nil {
@@ -162,7 +153,6 @@ func feedbackRoundSession(ctx context.Context, res *Response, h *WarmHandle) (bo
 	res.Solution = &Solution{Routes: rs.Routes(), Assign: assign}
 	res.Report = rep
 	h.lambda = captured
-	h.stale = nil
 	return true, nil
 }
 

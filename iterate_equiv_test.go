@@ -179,7 +179,7 @@ func runSingleCold(ctx context.Context, in *Instance, opt Options) (*Response, e
 	res.RouteStats = rstats
 	routeCurtailed := ctx.Err() != nil
 
-	assign, rep, times, stage, err := assignTimed(ctx, tdm.NewSession(in), nil, in, routes, opt.TDM)
+	assign, rep, times, stage, err := assignTimed(ctx, tdm.NewSession(in), in, routes, opt.TDM)
 	res.Times.LR = times.LR
 	res.Times.LegalRefine = times.LegalRefine
 	if err != nil {
@@ -302,7 +302,7 @@ func feedbackRoundCold(ctx context.Context, in *Instance, res *Response, opt Opt
 	topt.WarmLambda = *lambda
 	var captured []float64
 	topt.CaptureLambda = func(l []float64) { captured = l }
-	assign, rep, times, _, err := assignTimed(ctx, tdm.NewSession(in), nil, in, candidate, topt)
+	assign, rep, times, _, err := assignTimed(ctx, tdm.NewSession(in), in, candidate, topt)
 	res.Times.LR += times.LR
 	res.Times.LegalRefine += times.LegalRefine
 	if err != nil {

@@ -257,7 +257,7 @@ func runAssignOnly(ctx context.Context, req Request) (*Response, error) {
 		return nil, fmt.Errorf("tdmroute: routing has %d nets, instance has %d",
 			len(req.Routing), len(req.Instance.Nets))
 	}
-	assign, rep, times, stage, err := assignTimed(ctx, tdm.NewSession(req.Instance), nil, req.Instance, req.Routing, req.Options.TDM)
+	assign, rep, times, stage, err := assignTimed(ctx, tdm.NewSession(req.Instance), req.Instance, req.Routing, req.Options.TDM)
 	if err != nil {
 		return nil, err
 	}

@@ -17,7 +17,10 @@ head in odd pairs) on the same seeds:
     time, the process's user+system time, the stage walls the program
     prints (TA = LR plus legalization and refinement) and the SHA-256 of
     the written solution. One synopsys05 solve takes minutes, so it runs
-    its own, smaller number of pairs (--large).
+    its own, smaller number of pairs (--large);
+  * cmd/tdmroute -iterate 3 on synopsys01 at scale 1.0 (section
+    scale1_iterate), the same records plus the feedback rounds run and
+    kept, so the TDM session's reuse across rounds is timed too.
 
 The result is one JSON file with every run, the per-side medians and
 quartiles, and how many pairs the head won.
@@ -90,12 +93,12 @@ def perfbench(tree, workload, seed, seconds, trace):
     return row
 
 
-def solve(tree, inst, workers, out):
+def solve(tree, inst, workers, out, extra=()):
     r0 = resource.getrusage(resource.RUSAGE_CHILDREN)
     t0 = time.perf_counter()
     done = subprocess.run(
         [os.path.join(tree, "bin", "tdmroute"), "-in", inst, "-out", out,
-         "-workers", str(workers)], stdout=subprocess.PIPE, text=True)
+         "-workers", str(workers), *extra], stdout=subprocess.PIPE, text=True)
     wall = time.perf_counter() - t0
     r1 = resource.getrusage(resource.RUSAGE_CHILDREN)
     if done.returncode != 0:
@@ -104,13 +107,17 @@ def solve(tree, inst, workers, out):
     gtr = re.search(r"GTR_max\s+(\d+)", done.stdout)
     with open(out, "rb") as f:
         digest = hashlib.sha256(f.read()).hexdigest()
-    return {
+    row = {
         "wall_s": wall,
         "cpu_s": (r1.ru_utime - r0.ru_utime) + (r1.ru_stime - r0.ru_stime),
         "parse_s": float(m.group(1)), "route_s": float(m.group(2)),
         "ta_s": float(m.group(3)), "gtr_max": int(gtr.group(1)),
         "solution_sha256": digest,
     }
+    rounds = re.search(r"(\d+)/(\d+) feedback rounds kept", done.stdout)
+    if rounds:
+        row["rounds_kept"], row["rounds_run"] = int(rounds.group(1)), int(rounds.group(2))
+    return row
 
 
 def interleave(n, run):
@@ -177,15 +184,21 @@ def main():
 
     insts = os.path.join(work, "inputs")
     os.makedirs(insts, exist_ok=True)
-    result["scale1"] = {}
-    for name, n in (("synopsys01", args.few), ("synopsys02", args.few), ("synopsys05", args.large)):
+    plan = [("scale1", "synopsys01", args.few, ()), ("scale1", "synopsys02", args.few, ()),
+            ("scale1", "synopsys05", args.large, ()),
+            ("scale1_iterate", "synopsys01", args.few, ("-iterate", "3"))]
+    generated = set()
+    for section, name, n, extra in plan:
         inst = os.path.join(insts, name + ".txt")
-        subprocess.check_call([os.path.join(trees["head"], "bin", "gen"), "-name", name,
-                               "-scale", "1.0", "-o", inst], stdout=subprocess.DEVNULL)
+        if name not in generated:
+            generated.add(name)
+            subprocess.check_call([os.path.join(trees["head"], "bin", "gen"), "-name", name,
+                                   "-scale", "1.0", "-o", inst], stdout=subprocess.DEVNULL)
         pairs = interleave(n, lambda side, i: solve(
-            trees[side], inst, args.workers, os.path.join(insts, "%s.%s.sol" % (name, side))))
-        result["scale1"][name] = {
+            trees[side], inst, args.workers, os.path.join(insts, "%s.%s.sol" % (name, side)), extra))
+        result.setdefault(section, {})[name] = {
             "workers": args.workers,
+            "flags": list(extra),
             "digests_match": all(p["base"]["solution_sha256"] == p["head"]["solution_sha256"]
                                  for p in pairs),
             "summary": [summarize(pairs, m) for m in ("wall_s", "cpu_s", "route_s", "ta_s")],

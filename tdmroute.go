@@ -237,7 +237,7 @@ func solveBaseSession(ctx context.Context, h *WarmHandle, lambda *[]float64) (*R
 	// Snapshot the routing header: the session mutates its live routing on
 	// every feedback reroute, while the incumbent must stay frozen.
 	routes := h.rs.Routes()
-	assign, rep, times, stage, err := assignTimed(ctx, h.ts, nil, h.in, routes, captureLambda(h.opt.TDM, lambda))
+	assign, rep, times, stage, err := assignTimed(ctx, h.ts, h.in, routes, captureLambda(h.opt.TDM, lambda))
 	res.Times.LR = times.LR
 	res.Times.LegalRefine = times.LegalRefine
 	if err != nil {
@@ -269,19 +269,18 @@ func captureLambda(opt TDMOptions, dst *[]float64) TDMOptions {
 	return opt
 }
 
-// assignTimed runs the assignment stage — LR on the TDM session ts (changed
-// per the tdm.Session contract), then the stock legalization and refinement
-// — and splits it into the LR and legalization+refinement timings needed by
-// the Fig. 3(a) breakdown. The returned stage is "" for a complete run, or
-// the stage the interruption curtailed (StageLR or StageRefine); both stage
-// timers are populated even on the error path so callers can fold partial
-// work into their totals.
-func assignTimed(ctx context.Context, ts *tdm.Session, changed []int, in *Instance, routes Routing, opt TDMOptions) (Assignment, Report, StageTimes, Stage, error) {
+// assignTimed runs the assignment stage — LR on the TDM session ts, then the
+// stock legalization and refinement — and splits it into the LR and
+// legalization+refinement timings needed by the Fig. 3(a) breakdown. The
+// returned stage is "" for a complete run, or the stage the interruption
+// curtailed (StageLR or StageRefine); both stage timers are populated even
+// on the error path so callers can fold partial work into their totals.
+func assignTimed(ctx context.Context, ts *tdm.Session, in *Instance, routes Routing, opt TDMOptions) (Assignment, Report, StageTimes, Stage, error) {
 	var times StageTimes
 	t0 := time.Now()
 	// Run LR and legalization separately from tdm.Session.Assign so the
 	// two timers can be split; Session.Assign composes the same calls.
-	relaxed, z, lb, iters, converged, stopped := ts.RunLR(ctx, routes, changed, opt)
+	relaxed, z, lb, iters, converged, stopped := ts.RunLR(ctx, routes, opt)
 	times.LR = time.Since(t0)
 	if relaxed == nil {
 		// No legalizable incumbent: even the bounded fallback pass failed.

@@ -224,9 +224,9 @@ func TestGoldenDeterminism(t *testing.T) {
 
 // TestRunLRRejectsEdgeOutOfRange pins the typed edge-range check: a route
 // naming an edge outside the graph, too large or negative, is a caller
-// error reported by tdm.RunLR, tdm.Assign, a patched tdm.Session and Run's
+// error reported by tdm.RunLR, tdm.Assign, a reused tdm.Session and Run's
 // ModeAssignOnly, not a contained index panic. A session that rejected a
-// patch keeps its previous topology and still solves like a fresh one.
+// routing still solves the next one like a fresh session.
 func TestRunLRRejectsEdgeOutOfRange(t *testing.T) {
 	in := genInstance(t, "synopsys01", 0.002)
 	routes := solve(t, tdmroute.Request{Instance: in}).Solution.Routes
@@ -256,18 +256,18 @@ func TestRunLRRejectsEdgeOutOfRange(t *testing.T) {
 		check("Run ModeAssignOnly", err)
 
 		ses := tdm.NewSession(in)
-		if _, _, _, _, _, err := ses.RunLR(ctx, routes, nil, opt); err != nil {
+		if _, _, _, _, _, err := ses.RunLR(ctx, routes, opt); err != nil {
 			t.Fatal(err)
 		}
-		_, _, _, _, _, err = ses.RunLR(ctx, bad, []int{n}, opt)
-		check("patched Session.RunLR", err)
-		got, gz, _, _, _, err := ses.RunLR(ctx, routes, []int{n}, opt)
+		_, _, _, _, _, err = ses.RunLR(ctx, bad, opt)
+		check("reused Session.RunLR", err)
+		got, gz, _, _, _, err := ses.RunLR(ctx, routes, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		wantR, wz, _, _, _, _ := tdm.RunLR(ctx, in, routes, opt)
 		if math.Float64bits(gz) != math.Float64bits(wz) || fmt.Sprint(got) != fmt.Sprint(wantR) {
-			t.Errorf("edge %d: session after a rejected patch: z %v, want %v", e, gz, wz)
+			t.Errorf("edge %d: session after a rejected routing: z %v, want %v", e, gz, wz)
 		}
 	}
 }
