@@ -12,10 +12,8 @@
 //
 // -benchmarks selects a comma-separated subset (default: all nine).
 //
-// -benchjson runs the iterated-solve performance measurement (see
-// DESIGN.md "Performance engineering") and writes per-stage wall times,
-// GTR, and work counters as JSON; -cpuprofile and -memprofile capture
-// pprof profiles of whichever experiment runs.
+// -cpuprofile and -memprofile capture pprof profiles of whichever
+// experiment runs.
 //
 // -delta measures the ECO re-solve: each benchmark is base-solved with
 // retention, a two-net edit is re-solved through the warm ModeDelta path,
@@ -69,10 +67,8 @@ func benchMain() int {
 		workers   = flag.Int("workers", 1, "worker goroutines per solve (1 = sequential; try runtime.NumCPU())")
 		parts     = flag.Int("partitions", 0, "spatial regions for partitioned initial routing (0 = auto, 1 = off)")
 		verbose   = flag.Bool("v", false, "print per-benchmark progress to stderr")
-		benchjson = flag.String("benchjson", "", "write the iterated-solve perf measurement to this file as JSON")
 		deltaPerf = flag.Bool("delta", false, "measure the ECO delta re-solve against the cold pipeline")
-		rounds    = flag.Int("rounds", 6, "feedback rounds for -benchjson")
-		reps      = flag.Int("reps", 3, "solves per benchmark for -benchjson (fastest wins)")
+		reps      = flag.Int("reps", 3, "solves per benchmark for -delta (fastest wins)")
 		cpuprof   = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memprof   = flag.String("memprofile", "", "write a pprof heap profile at the end of the run to this file")
 	)
@@ -96,15 +92,6 @@ func benchMain() int {
 	fail := func(err error) int {
 		fmt.Fprintln(os.Stderr, "bench:", err)
 		return 1
-	}
-	if *benchjson != "" {
-		if err := runBenchJSON(*benchjson, cfg, *rounds, *reps); err != nil {
-			if errors.Is(err, exp.ErrInterrupted) {
-				return exitInterrupted(err)
-			}
-			return fail(err)
-		}
-		return 0
 	}
 	if *deltaPerf {
 		rows, err := exp.DeltaPerf(cfg, *reps)
@@ -190,29 +177,6 @@ func startProfiles(cpuPath, memPath string) (stop func(), err error) {
 		}
 	}
 	return stop, nil
-}
-
-// runBenchJSON measures the iterated solve on the configured suite and
-// writes the report to path ("-" for stdout). Partial rows are still
-// written when the run is interrupted.
-func runBenchJSON(path string, cfg exp.Config, rounds, reps int) error {
-	rep, err := exp.Perf(cfg, rounds, reps)
-	if err != nil && !errors.Is(err, exp.ErrInterrupted) {
-		return err
-	}
-	w := io.Writer(os.Stdout)
-	if path != "-" {
-		f, cerr := os.Create(path)
-		if cerr != nil {
-			return cerr
-		}
-		defer f.Close()
-		w = f
-	}
-	if werr := exp.WritePerfJSON(w, rep); werr != nil {
-		return werr
-	}
-	return err
 }
 
 // runContext derives the experiment context: bounded by -timeout when set,

@@ -10,13 +10,13 @@ import (
 	"tdmroute/internal/problem"
 )
 
-// DeltaPerfRow is one benchmark's ECO cost measurement: the same small edit
+// DeltaRow is one benchmark's ECO cost measurement: the same small edit
 // is solved twice — once through the warm ModeDelta path against a retained
 // base solve, once by the full cold pipeline on the patched instance — and
 // the row reports both wall clocks. The edit is bias-free (nets only), so
 // the patched instance captures it completely and the cold run solves the
 // exact same problem the delta path does.
-type DeltaPerfRow struct {
+type DeltaRow struct {
 	Bench string  `json:"bench"`
 	Scale float64 `json:"scale"`
 	// TotalNets counts the patched instance's nets; EditedNets counts the
@@ -45,7 +45,7 @@ type DeltaPerfRow struct {
 // the base solve is repeated per rep because a delta consumes its warm
 // state). Cancellation via cfg.Ctx returns the rows completed so far with
 // ErrInterrupted.
-func DeltaPerf(cfg Config, reps int) ([]DeltaPerfRow, error) {
+func DeltaPerf(cfg Config, reps int) ([]DeltaRow, error) {
 	cfg = cfg.withDefaults()
 	if reps <= 0 {
 		reps = 3
@@ -54,7 +54,7 @@ func DeltaPerf(cfg Config, reps int) ([]DeltaPerfRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	var rows []DeltaPerfRow
+	var rows []DeltaRow
 	for _, in := range ins {
 		if cfg.ctx().Err() != nil {
 			return rows, cfg.interrupted(nil)
@@ -88,13 +88,13 @@ func ecoEdit(in *problem.Instance) (*tdmroute.Delta, error) {
 	return nil, fmt.Errorf("no multi-terminal net to edit")
 }
 
-func deltaBench(cfg Config, in *problem.Instance, reps int) (DeltaPerfRow, error) {
+func deltaBench(cfg Config, in *problem.Instance, reps int) (DeltaRow, error) {
 	opt := cfg.solveOptions(in.Name)
 	d, err := ecoEdit(in)
 	if err != nil {
-		return DeltaPerfRow{}, err
+		return DeltaRow{}, err
 	}
-	row := DeltaPerfRow{Bench: in.Name, Scale: cfg.Scale, EditedNets: len(d.RemoveNets) + len(d.AddNets)}
+	row := DeltaRow{Bench: in.Name, Scale: cfg.Scale, EditedNets: len(d.RemoveNets) + len(d.AddNets)}
 
 	// Warm path: base solve with retention, then the delta re-solve. The
 	// delta consumes the warm state, so every rep rebuilds its own base.
@@ -163,7 +163,7 @@ func deltaBench(cfg Config, in *problem.Instance, reps int) (DeltaPerfRow, error
 
 // WriteDeltaPerf renders the ECO measurement as a text table with a geomean
 // speedup summary line.
-func WriteDeltaPerf(w io.Writer, rows []DeltaPerfRow) {
+func WriteDeltaPerf(w io.Writer, rows []DeltaRow) {
 	fmt.Fprintln(w, "ECO delta re-solve vs cold pipeline on the patched instance")
 	fmt.Fprintf(w, "%-12s %7s %6s %10s %10s %10s %9s %9s %8s\n",
 		"bench", "nets", "edits", "base(ms)", "cold(ms)", "delta(ms)", "coldGTR", "deltaGTR", "speedup")
@@ -180,4 +180,9 @@ func WriteDeltaPerf(w io.Writer, rows []DeltaPerfRow) {
 	if n > 0 {
 		fmt.Fprintf(w, "geomean speedup: %.1fx over %d benchmarks\n", math.Exp(logSum/float64(n)), n)
 	}
+}
+
+// ms converts a duration to fractional milliseconds for the report rows.
+func ms(d time.Duration) float64 {
+	return float64(d.Microseconds()) / 1000
 }

@@ -46,11 +46,7 @@ func Finish(ctx context.Context, in *problem.Instance, routes problem.Routing, r
 	opt = opt.withDefaults()
 	var ratios [][]int64
 	if err := par.Capture(func() error {
-		if opt.Legal == LegalPow2 {
-			ratios = LegalizePow2(relaxed)
-		} else {
-			ratios = Legalize(relaxed)
-		}
+		ratios = Legalize(relaxed, opt.Legal)
 		return nil
 	}); err != nil {
 		return problem.Assignment{}, Report{}, err
@@ -65,13 +61,9 @@ func Finish(ctx context.Context, in *problem.Instance, routes problem.Routing, r
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if opt.Legal == LegalPow2 {
-				RefinePow2(ctx, in, routes, ratios, opt.Tol)
-			} else {
-				Refine(ctx, in, routes, ratios, opt.Tol)
-			}
+			Refine(ctx, in, routes, ratios, opt.Tol, opt.Legal)
 		}
-		compactUngrouped(in, routes, ratios, opt.Tol, opt.Legal == LegalPow2)
+		compactUngrouped(in, routes, ratios, opt.Tol, opt.Legal)
 		return nil
 	})
 	rep.GTRMax, _ = eval.MaxGroupTDM(in, sol)
@@ -85,7 +77,7 @@ func Finish(ctx context.Context, in *problem.Instance, routes problem.Routing, r
 // unrealizable. Since their ratios never enter the objective, each edge's
 // residual budget is instead split evenly among its ungrouped cells,
 // yielding the smallest legal (even or power-of-two) common ratio.
-func compactUngrouped(in *problem.Instance, routes problem.Routing, ratios [][]int64, tol float64, pow2 bool) {
+func compactUngrouped(in *problem.Instance, routes problem.Routing, ratios [][]int64, tol float64, legal Legalizer) {
 	loads := problem.EdgeLoads(in.G.NumEdges(), routes)
 	for _, ls := range loads {
 		if len(ls) == 0 {
@@ -110,13 +102,7 @@ func compactUngrouped(in *problem.Instance, routes problem.Routing, ratios [][]i
 		// Feed the fractional ratio straight to the legalizer: it rounds
 		// up itself and saturates near-zero budgets instead of letting an
 		// int64(math.Ceil(...)) conversion overflow negative.
-		f := float64(u) / budget
-		var r int64
-		if pow2 {
-			r = legalizeRatioPow2(f)
-		} else {
-			r = legalizeRatio(f)
-		}
+		r := legal.round(float64(u) / budget)
 		for _, l := range ls {
 			if len(in.Nets[l.Net].Groups) == 0 {
 				ratios[l.Net][l.Pos] = r

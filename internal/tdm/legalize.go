@@ -2,16 +2,17 @@ package tdm
 
 import "tdmroute/internal/problem"
 
-// Legalize rounds a relaxed assignment to legal TDM ratios (Sec. IV-E):
-// each ratio is raised to the next even integer, never below 2. Raising a
-// ratio lowers its reciprocal, so if the relaxed per-edge reciprocal sums
-// were at most 1 the legalized ones are too.
-func Legalize(relaxed [][]float64) [][]int64 {
+// Legalize rounds a relaxed assignment to legal TDM ratios in legal's
+// domain (Sec. IV-E): each ratio is raised to the next even integer, or to
+// the next power of two under LegalPow2, never below 2. Raising a ratio
+// lowers its reciprocal, so if the relaxed per-edge reciprocal sums were at
+// most 1 the legalized ones are too.
+func Legalize(relaxed [][]float64, legal Legalizer) [][]int64 {
 	out := ratioRows(relaxed)
 	for n, ts := range relaxed {
 		row := out[n]
 		for k, t := range ts {
-			row[k] = legalizeRatio(t)
+			row[k] = legal.round(t)
 		}
 	}
 	return out
@@ -34,36 +35,29 @@ func ratioRows(relaxed [][]float64) [][]int64 {
 	return out
 }
 
-// Saturation bounds, aliased from the shared helpers in internal/problem
-// (see problem.EvenCeilRatio for the overflow rationale).
-const (
-	maxEvenRatio = problem.MaxEvenRatio
-	maxPow2Ratio = problem.MaxPow2Ratio
-)
-
-// legalizeRatio returns the smallest even integer >= max(t, 2), saturating
-// at the largest even int64 for +Inf or values beyond the int64 range. It
-// delegates to the shared saturating helper so the TDM and baseline stages
-// legalize identically.
-func legalizeRatio(t float64) int64 { return problem.EvenCeilRatio(t) }
-
-// LegalizePow2 rounds a relaxed assignment up to powers of two (>= 2).
-// This reproduces the ratio restriction of the paper's refs [2][3] (Pui et
-// al.), which real TDM hardware favours because the per-edge slot frame
-// stays as short as the largest ratio. Compared to Legalize it trades
-// objective quality for schedulability; the ablation benchmarks quantify
-// the cost.
-func LegalizePow2(relaxed [][]float64) [][]int64 {
-	out := ratioRows(relaxed)
-	for n, ts := range relaxed {
-		row := out[n]
-		for k, t := range ts {
-			row[k] = legalizeRatioPow2(t)
-		}
+// round returns the smallest legal ratio >= max(t, 2) in l's domain,
+// saturating for +Inf or values beyond the int64 range. It delegates to the
+// shared saturating helpers in internal/problem so the TDM and baseline
+// stages legalize identically.
+//
+// LegalPow2 reproduces the ratio restriction of the paper's refs [2][3]
+// (Pui et al.), which real TDM hardware favours because the per-edge slot
+// frame stays as short as the largest ratio; it trades objective quality
+// for schedulability, and the ablation benchmarks quantify the cost.
+func (l Legalizer) round(t float64) int64 {
+	if l == LegalPow2 {
+		return problem.Pow2CeilRatio(t)
 	}
-	return out
+	return problem.EvenCeilRatio(t)
 }
 
-// legalizeRatioPow2 returns the smallest power of two >= max(t, 2),
-// saturating at 2^62 for +Inf or values beyond that.
-func legalizeRatioPow2(t float64) int64 { return problem.Pow2CeilRatio(t) }
+// refine spends an edge's margin xi on its Γ-maximal candidates with l's
+// per-edge move: Algorithm 2's even decrements, or halving under LegalPow2
+// (the only move that keeps a ratio a power of two).
+func (l Legalizer) refine(cand []candidate, xi float64) {
+	if l == LegalPow2 {
+		refineEdgePow2(cand, xi)
+		return
+	}
+	refineEdge(cand, xi)
+}

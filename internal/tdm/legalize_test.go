@@ -28,14 +28,14 @@ func TestLegalizeRatioSaturates(t *testing.T) {
 		{1e15 + 1, 1000000000000002},
 		{1e18, 1000000000000000000},
 		{9.2e18, 9200000000000000000},
-		{float64(math.MaxInt64), maxEvenRatio},
-		{1e19, maxEvenRatio},
-		{1e300, maxEvenRatio},
-		{math.Inf(1), maxEvenRatio},
+		{float64(math.MaxInt64), problem.MaxEvenRatio},
+		{1e19, problem.MaxEvenRatio},
+		{1e300, problem.MaxEvenRatio},
+		{math.Inf(1), problem.MaxEvenRatio},
 	}
 	for _, c := range cases {
-		if got := legalizeRatio(c.in); got != c.want {
-			t.Errorf("legalizeRatio(%g) = %d, want %d", c.in, got, c.want)
+		if got := LegalEven.round(c.in); got != c.want {
+			t.Errorf("LegalEven.round(%g) = %d, want %d", c.in, got, c.want)
 		}
 	}
 }
@@ -51,13 +51,13 @@ func TestLegalizeRatioPow2Saturates(t *testing.T) {
 		{3, 4},
 		{17, 32},
 		{1 << 40, 1 << 40},
-		{float64(maxPow2Ratio), maxPow2Ratio},
-		{1e300, maxPow2Ratio},
-		{math.Inf(1), maxPow2Ratio},
+		{float64(problem.MaxPow2Ratio), problem.MaxPow2Ratio},
+		{1e300, problem.MaxPow2Ratio},
+		{math.Inf(1), problem.MaxPow2Ratio},
 	}
 	for _, c := range cases {
-		if got := legalizeRatioPow2(c.in); got != c.want {
-			t.Errorf("legalizeRatioPow2(%g) = %d, want %d", c.in, got, c.want)
+		if got := LegalPow2.round(c.in); got != c.want {
+			t.Errorf("LegalPow2.round(%g) = %d, want %d", c.in, got, c.want)
 		}
 	}
 }
@@ -73,8 +73,8 @@ func TestLegalizeNeverIllegal(t *testing.T) {
 	}
 	for _, v := range adversarial {
 		for name, r := range map[string]int64{
-			"legalizeRatio":     legalizeRatio(v),
-			"legalizeRatioPow2": legalizeRatioPow2(v),
+			"LegalEven.round": LegalEven.round(v),
+			"LegalPow2.round": LegalPow2.round(v),
 		} {
 			if r < 2 {
 				t.Errorf("%s(%g) = %d < 2", name, v, r)
@@ -83,8 +83,8 @@ func TestLegalizeNeverIllegal(t *testing.T) {
 				t.Errorf("%s(%g) = %d is odd", name, v, r)
 			}
 		}
-		if p := legalizeRatioPow2(v); p&(p-1) != 0 {
-			t.Errorf("legalizeRatioPow2(%g) = %d is not a power of two", v, p)
+		if p := LegalPow2.round(v); p&(p-1) != 0 {
+			t.Errorf("LegalPow2.round(%g) = %d is not a power of two", v, p)
 		}
 	}
 }
@@ -112,8 +112,8 @@ func TestLegalizeOverflowSolutionValid(t *testing.T) {
 		in, routes := overflowInstance()
 		relaxed := [][]float64{{v}}
 		for name, ratios := range map[string][][]int64{
-			"Legalize":     Legalize(relaxed),
-			"LegalizePow2": LegalizePow2(relaxed),
+			"LegalEven": Legalize(relaxed, LegalEven),
+			"LegalPow2": Legalize(relaxed, LegalPow2),
 		} {
 			sol := &problem.Solution{Routes: routes, Assign: problem.Assignment{Ratios: ratios}}
 			if err := problem.ValidateSolution(in, sol); err != nil {
@@ -127,20 +127,20 @@ func TestLegalizeOverflowSolutionValid(t *testing.T) {
 // where the residual budget is denormal-small and the common ratio formerly
 // overflowed int64: the rewritten ratios must stay legal.
 func TestCompactUngroupedNearZeroBudget(t *testing.T) {
-	for _, pow2 := range []bool{false, true} {
+	for _, legal := range []Legalizer{LegalEven, LegalPow2} {
 		in, routes := overflowInstance()
 		in.Groups = nil
 		in.RebuildNetGroups() // net 0 is now ungrouped
 		ratios := [][]int64{{2}}
 		// tol chosen so budget = 1 - tol = 1e-300 and u/budget = 1e300.
-		compactUngrouped(in, routes, ratios, 1-1e-300, pow2)
+		compactUngrouped(in, routes, ratios, 1-1e-300, legal)
 		r := ratios[0][0]
 		if r < 2 || r%2 != 0 {
-			t.Errorf("pow2=%v: compacted ratio %d is illegal", pow2, r)
+			t.Errorf("legal=%v: compacted ratio %d is illegal", legal, r)
 		}
 		sol := &problem.Solution{Routes: routes, Assign: problem.Assignment{Ratios: ratios}}
 		if err := problem.ValidateSolution(in, sol); err != nil {
-			t.Errorf("pow2=%v: %v", pow2, err)
+			t.Errorf("legal=%v: %v", legal, err)
 		}
 	}
 }
@@ -166,16 +166,14 @@ func TestRefineEdgeHugeRatios(t *testing.T) {
 	}
 }
 
-// TestLegalizeAllocs pins the slab layout of both legalizers: a legalized
+// TestLegalizeAllocs pins the slab layout in both domains: a legalized
 // assignment is two allocations (the row headers and one backing slab)
 // whatever the number of nets.
 func TestLegalizeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed by the race detector")
 	}
-	for name, legalize := range map[string]func([][]float64) [][]int64{
-		"Legalize": Legalize, "LegalizePow2": LegalizePow2,
-	} {
+	for name, legal := range map[string]Legalizer{"LegalEven": LegalEven, "LegalPow2": LegalPow2} {
 		var counts []float64
 		for _, nets := range []int{100, 10000} {
 			relaxed := make([][]float64, nets)
@@ -185,7 +183,7 @@ func TestLegalizeAllocs(t *testing.T) {
 					relaxed[n][k] = 2.5 + float64(k)
 				}
 			}
-			counts = append(counts, testing.AllocsPerRun(20, func() { legalize(relaxed) }))
+			counts = append(counts, testing.AllocsPerRun(20, func() { Legalize(relaxed, legal) }))
 		}
 		if counts[0] != counts[1] || counts[1] > 2 {
 			t.Errorf("%s allocates %v objects at 100 and 10000 nets, want the same count, at most 2", name, counts)
@@ -198,7 +196,7 @@ func TestLegalizeAllocs(t *testing.T) {
 func TestLegalizeRowsCapacityClamped(t *testing.T) {
 	relaxed := [][]float64{{3, 5}, {7, 9, 11}}
 	for name, out := range map[string][][]int64{
-		"Legalize": Legalize(relaxed), "LegalizePow2": LegalizePow2(relaxed),
+		"LegalEven": Legalize(relaxed, LegalEven), "LegalPow2": Legalize(relaxed, LegalPow2),
 	} {
 		next := append([]int64(nil), out[1]...)
 		out[0] = append(out[0], 1<<40)

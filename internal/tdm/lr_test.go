@@ -186,7 +186,7 @@ func TestLRLowerBoundBelowAnyLegalAssignment(t *testing.T) {
 			t.Fatalf("trial %d: lb %g exceeds relaxed z %g", trial, lb, z)
 		}
 		// Uniform legal assignment: every net on edge e gets ratio
-		// 2*ceil(|N_e|/2)... use legalizeRatio(|N_e|).
+		// 2*ceil(|N_e|/2)... use LegalEven.round(|N_e|).
 		loads := problem.EdgeLoads(in.G.NumEdges(), routes)
 		ratios := make([][]int64, len(routes))
 		for n := range routes {
@@ -194,7 +194,7 @@ func TestLRLowerBoundBelowAnyLegalAssignment(t *testing.T) {
 		}
 		for _, ls := range loads {
 			for _, l := range ls {
-				ratios[l.Net][l.Pos] = legalizeRatio(float64(len(ls)))
+				ratios[l.Net][l.Pos] = LegalEven.round(float64(len(ls)))
 			}
 		}
 		sol := &problem.Solution{Routes: routes, Assign: problem.Assignment{Ratios: ratios}}

@@ -54,8 +54,8 @@ func TestParallelLRLargeInstanceClose(t *testing.T) {
 	if math.Abs(zs-zp) > 1e-6*zs || math.Abs(lbs-lbp) > 1e-6*lbs {
 		t.Fatalf("serial z=%g lb=%g vs parallel z=%g lb=%g", zs, lbs, zp, lbp)
 	}
-	a := maxGroupTDMInt(in, Legalize(serial))
-	b := maxGroupTDMInt(in, Legalize(par))
+	a := maxGroupTDMInt(in, Legalize(serial, LegalEven))
+	b := maxGroupTDMInt(in, Legalize(par, LegalEven))
 	diff := a - b
 	if diff < 0 {
 		diff = -diff

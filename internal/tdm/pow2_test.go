@@ -20,8 +20,8 @@ func TestLegalizeRatioPow2(t *testing.T) {
 		{math.NaN(), 2},
 	}
 	for _, c := range cases {
-		if got := legalizeRatioPow2(c.in); got != c.want {
-			t.Errorf("legalizeRatioPow2(%g) = %d, want %d", c.in, got, c.want)
+		if got := LegalPow2.round(c.in); got != c.want {
+			t.Errorf("LegalPow2.round(%g) = %d, want %d", c.in, got, c.want)
 		}
 	}
 }
@@ -31,7 +31,7 @@ func TestQuickLegalizePow2Properties(t *testing.T) {
 		if math.IsNaN(x) || math.IsInf(x, 0) || x > 1e15 {
 			x = 12345
 		}
-		r := legalizeRatioPow2(x)
+		r := LegalPow2.round(x)
 		if r < 2 || r&(r-1) != 0 {
 			return false // must be a power of two >= 2
 		}

@@ -17,7 +17,7 @@ func TestQuickLegalizeRatio(t *testing.T) {
 		if math.IsNaN(x) || math.IsInf(x, 0) || x > 1e15 {
 			x = 1e6
 		}
-		r := legalizeRatio(x)
+		r := LegalEven.round(x)
 		if r < 2 || r%2 != 0 {
 			return false
 		}

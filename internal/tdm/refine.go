@@ -21,12 +21,14 @@ const refineCheckEvery = 4096
 // those whose maximum containing-group TDM ratio Γ(n) (Eq. 18) is largest —
 // and spends the edge's residual margin ξ_e = 1 − tol − Σ 1/t_en decreasing
 // their ratios, largest first, in even decrements d computed by Eq. (21).
+// Under LegalPow2 the per-edge move halves ratios instead (refineEdgePow2);
+// the sweep around it is the same.
 //
 // One call is one full sweep over the edges; Γ is computed once per sweep
 // from the assignment at sweep start, as in the paper. The sweep stops
 // early between edge blocks once ctx is cancelled; a partial sweep leaves
 // the assignment legal, merely less refined.
-func Refine(ctx context.Context, in *problem.Instance, routes problem.Routing, ratios [][]int64, tol float64) {
+func Refine(ctx context.Context, in *problem.Instance, routes problem.Routing, ratios [][]int64, tol float64, legal Legalizer) {
 	loads := problem.EdgeLoads(in.G.NumEdges(), routes)
 	gamma := computeGamma(in, routes, ratios)
 
@@ -61,7 +63,7 @@ func Refine(ctx context.Context, in *problem.Instance, routes problem.Routing, r
 		if xi <= 0 || len(cand) == 0 {
 			continue
 		}
-		refineEdge(cand, xi)
+		legal.refine(cand, xi)
 		for _, c := range cand {
 			ratios[c.net][c.pos] = c.t
 		}

@@ -129,12 +129,12 @@ func TestRefineNaiveMatchesAlgorithm2(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		in, routes := randomAssignInstance(rng)
 		relaxed, _, _, _, _, _ := RunLR(context.Background(), in, routes, Options{Epsilon: 1e-4, MaxIter: 500})
-		a := Legalize(relaxed)
+		a := Legalize(relaxed, LegalEven)
 		b := make([][]int64, len(a))
 		for n := range a {
 			b[n] = append([]int64(nil), a[n]...)
 		}
-		Refine(context.Background(), in, routes, a, DefaultTol)
+		Refine(context.Background(), in, routes, a, DefaultTol, LegalEven)
 		RefineNaive(in, routes, b, DefaultTol)
 		ga, gb := maxGroupTDMInt(in, a), maxGroupTDMInt(in, b)
 		// Allow a small slack: the two schedules may split the last
@@ -181,7 +181,7 @@ func BenchmarkRefineVsNaive(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	in, routes := randomAssignInstance(rng)
 	relaxed, _, _, _, _, _ := RunLR(context.Background(), in, routes, Options{Epsilon: 1e-4, MaxIter: 500})
-	base := Legalize(relaxed)
+	base := Legalize(relaxed, LegalEven)
 	clone := func() [][]int64 {
 		c := make([][]int64, len(base))
 		for n := range base {
@@ -191,7 +191,7 @@ func BenchmarkRefineVsNaive(b *testing.B) {
 	}
 	b.Run("Algorithm2", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			Refine(context.Background(), in, routes, clone(), DefaultTol)
+			Refine(context.Background(), in, routes, clone(), DefaultTol, LegalEven)
 		}
 	})
 	b.Run("NaiveHeap", func(b *testing.B) {

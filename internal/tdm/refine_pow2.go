@@ -1,62 +1,11 @@
 package tdm
 
-import (
-	"context"
-	"sort"
+import "sort"
 
-	"tdmroute/internal/problem"
-)
-
-// RefinePow2 is the refinement pass for power-of-two legalized ratios: the
-// only quality move that preserves the restriction is halving a ratio,
-// which consumes exactly 1/t of the edge margin (1/(t/2) - 1/t = 1/t). Per
-// edge it selects the same Γ-maximal candidates as Algorithm 2 and halves
-// them, largest ratio first, while the margin allows. Like Refine, the
-// sweep stops early between edge blocks once ctx is cancelled; every prefix
-// of a sweep leaves the assignment legal.
-func RefinePow2(ctx context.Context, in *problem.Instance, routes problem.Routing, ratios [][]int64, tol float64) {
-	loads := problem.EdgeLoads(in.G.NumEdges(), routes)
-	gamma := computeGamma(in, routes, ratios)
-
-	var cand []candidate
-	for ei, ls := range loads {
-		if ei%refineCheckEvery == 0 && ctx != nil && ctx.Err() != nil {
-			return
-		}
-		if len(ls) == 0 {
-			continue
-		}
-		maxG := int64(-1)
-		for _, l := range ls {
-			if g := gamma[l.Net]; g > maxG {
-				maxG = g
-			}
-		}
-		if maxG < 0 {
-			continue
-		}
-		cand = cand[:0]
-		var recip float64
-		for _, l := range ls {
-			t := ratios[l.Net][l.Pos]
-			recip += 1 / float64(t)
-			if gamma[l.Net] == maxG {
-				cand = append(cand, candidate{net: l.Net, pos: l.Pos, t: t})
-			}
-		}
-		xi := 1 - tol - recip
-		if xi <= 0 || len(cand) == 0 {
-			continue
-		}
-		refineEdgePow2(cand, xi)
-		for _, c := range cand {
-			ratios[c.net][c.pos] = c.t
-		}
-	}
-}
-
-// refineEdgePow2 repeatedly halves the largest candidate that fits in the
-// margin. Halving t consumes margin 1/t.
+// refineEdgePow2 is the per-edge refinement move for power-of-two ratios:
+// halving is the only quality move that preserves the restriction, and
+// halving t consumes exactly 1/t of the edge margin (1/(t/2) - 1/t = 1/t).
+// It repeatedly halves the largest candidate that fits in the margin.
 func refineEdgePow2(cand []candidate, xi float64) {
 	sort.Slice(cand, func(i, j int) bool { return cand[i].t > cand[j].t })
 	for xi > 0 {

@@ -21,8 +21,8 @@ func TestLegalizeRatio(t *testing.T) {
 		{math.NaN(), 2},
 	}
 	for _, c := range cases {
-		if got := legalizeRatio(c.in); got != c.want {
-			t.Errorf("legalizeRatio(%g) = %d, want %d", c.in, got, c.want)
+		if got := LegalEven.round(c.in); got != c.want {
+			t.Errorf("LegalEven.round(%g) = %d, want %d", c.in, got, c.want)
 		}
 	}
 }
@@ -31,22 +31,22 @@ func TestLegalizeProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 5000; i++ {
 		x := rng.Float64() * math.Pow(10, float64(rng.Intn(8)))
-		r := legalizeRatio(x)
+		r := LegalEven.round(x)
 		if r < 2 || r%2 != 0 {
-			t.Fatalf("legalizeRatio(%g) = %d not legal", x, r)
+			t.Fatalf("LegalEven.round(%g) = %d not legal", x, r)
 		}
 		if float64(r) < x {
-			t.Fatalf("legalizeRatio(%g) = %d decreased the ratio", x, r)
+			t.Fatalf("LegalEven.round(%g) = %d decreased the ratio", x, r)
 		}
 		if float64(r) > x+2 {
-			t.Fatalf("legalizeRatio(%g) = %d overshoots by more than 2", x, r)
+			t.Fatalf("LegalEven.round(%g) = %d overshoots by more than 2", x, r)
 		}
 	}
 }
 
 func TestLegalizePreservesShape(t *testing.T) {
 	relaxed := [][]float64{{1.5, 3.2}, {}, {7}}
-	out := Legalize(relaxed)
+	out := Legalize(relaxed, LegalEven)
 	if len(out) != 3 || len(out[0]) != 2 || len(out[1]) != 0 || len(out[2]) != 1 {
 		t.Fatalf("shape = %v", out)
 	}
@@ -176,7 +176,7 @@ func buildRefineFixture() (*problem.Instance, problem.Routing, [][]int64) {
 func TestRefineLowersGTRAndStaysLegal(t *testing.T) {
 	in, routes, ratios := buildRefineFixture()
 	before := maxGroupTDMInt(in, ratios)
-	Refine(context.Background(), in, routes, ratios, DefaultTol)
+	Refine(context.Background(), in, routes, ratios, DefaultTol, LegalEven)
 	after := maxGroupTDMInt(in, ratios)
 	if after > before {
 		t.Fatalf("refinement worsened GTR: %d -> %d", before, after)
@@ -192,7 +192,7 @@ func TestRefineLowersGTRAndStaysLegal(t *testing.T) {
 
 func TestRefineTargetsMaxGroup(t *testing.T) {
 	in, routes, ratios := buildRefineFixture()
-	Refine(context.Background(), in, routes, ratios, DefaultTol)
+	Refine(context.Background(), in, routes, ratios, DefaultTol, LegalEven)
 	// Net 2 (the only member of the light group) shares edge 0 with net 0
 	// of the heavy group. The margin on edge 0 must have gone to net 0,
 	// not net 2.
@@ -209,7 +209,7 @@ func TestRefineSkipsUngroupedOnlyEdges(t *testing.T) {
 	in := pathInstance(2, nets, nil)
 	routes := problem.Routing{{0}}
 	ratios := [][]int64{{8}}
-	Refine(context.Background(), in, routes, ratios, DefaultTol)
+	Refine(context.Background(), in, routes, ratios, DefaultTol, LegalEven)
 	if ratios[0][0] != 8 {
 		t.Errorf("ungrouped net refined: %d", ratios[0][0])
 	}

@@ -1,6 +1,7 @@
 package tdmroute_test
 
 import (
+	"bytes"
 	"context"
 	"testing"
 	"time"
@@ -22,8 +23,8 @@ func TestSolveIterativeNeverWorse(t *testing.T) {
 		if gtr != res.Report.GTRMax {
 			t.Errorf("%s: report %d != evaluated %d", bench, res.Report.GTRMax, gtr)
 		}
-		if res.RoundsRun < 1 {
-			t.Errorf("%s: no rounds ran", bench)
+		if res.RoundsRun < 1 || res.RoundsRun > 4 || res.RoundsKept > res.RoundsRun {
+			t.Errorf("%s: %d/%d rounds kept/run, want 1 to 4 run of 4 requested", bench, res.RoundsKept, res.RoundsRun)
 		}
 		t.Logf("%s: initial %d -> iterated %d (%d/%d rounds kept)",
 			bench, res.InitialGTR, res.Report.GTRMax, res.RoundsKept, res.RoundsRun)
@@ -52,6 +53,16 @@ func TestSolveIterativeDeterministic(t *testing.T) {
 	b := solve(t, tdmroute.Request{Instance: in, Mode: tdmroute.ModeIterative})
 	if a.Report.GTRMax != b.Report.GTRMax || a.RoundsKept != b.RoundsKept {
 		t.Errorf("nondeterministic: %+v vs %+v", a.Report, b.Report)
+	}
+	var wa, wb bytes.Buffer
+	if err := tdmroute.WriteSolution(&wa, a.Solution); err != nil {
+		t.Fatal(err)
+	}
+	if err := tdmroute.WriteSolution(&wb, b.Solution); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(wa.Bytes(), wb.Bytes()) {
+		t.Error("nondeterministic: the two solutions' bytes differ")
 	}
 }
 
