@@ -65,11 +65,8 @@ func TestSolveCtxCancelMidLR(t *testing.T) {
 }
 
 // The TDM incumbent under a fixed cancellation point must not depend on
-// the worker count: on a topology small enough that the LR inner loops run
-// inline (n below Workers x par.MinChunk), Workers=1 and Workers=8 must
-// produce byte-identical assignments. (The routing stage's wave partition
-// legitimately varies with the worker count, so the invariant is stated on
-// a fixed topology.)
+// the worker count: Workers=1 and Workers=8 must produce byte-identical
+// assignments on the same topology.
 func TestAssignTDMCtxCancelWorkerInvariant(t *testing.T) {
 	in := anytimeInstance(t)
 	topo := solve(t, tdmroute.Request{Instance: in}).Solution.Routes

@@ -10,11 +10,10 @@ import (
 // TestSolveIgnoresUnkeyedFields is the solve side of the coordinator's
 // content address (internal/coord cacheKey; TestCacheKeySoundness pins the
 // key side): every request field the key leaves out — the instance name
-// written in the "# instance" header, the deadline, Retain, and a negative
-// worker count, which normalizes to 1 — must leave the solution bytes and
-// GTR_max of every cacheable mode unchanged, or a cached result could answer
-// a job it does not solve. ModeAssignOnly rejects Retain, so it is skipped
-// there.
+// written in the "# instance" header, the deadline, Retain, and the worker
+// count — must leave the solution bytes and GTR_max of every cacheable mode
+// unchanged, or a cached result could answer a job it does not solve.
+// ModeAssignOnly rejects Retain, so it is skipped there.
 func TestSolveIgnoresUnkeyedFields(t *testing.T) {
 	in := equivInstance(t, "synopsys01", 15)
 	single, err := Run(context.Background(), Request{Instance: in, Options: Options{Workers: 1}})
@@ -34,6 +33,8 @@ func TestSolveIgnoresUnkeyedFields(t *testing.T) {
 		{"deadline", true, func(*Request) {}},
 		{"retain", false, func(r *Request) { r.Retain = true }},
 		{"negative workers", false, func(r *Request) { r.Options.Workers = -3 }},
+		{"workers 2", false, func(r *Request) { r.Options.Workers = 2 }},
+		{"workers 8", false, func(r *Request) { r.Options.Workers = 8 }},
 	}
 	for _, mode := range []Mode{ModeSingle, ModeIterative, ModeAssignOnly} {
 		base := Request{Instance: in, Mode: mode, Options: Options{Workers: 1}}

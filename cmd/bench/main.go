@@ -64,7 +64,7 @@ func benchMain() int {
 		scales    = flag.String("scales", "0.002,0.01,0.05", "comma-separated scale factors for -scaling")
 		ascii     = flag.Bool("ascii", false, "render figures as ASCII charts (3a bars, 3b curves)")
 		timeout   = flag.Duration("timeout", 0, "wall-clock budget; partial results are still written on expiry (0 = unlimited)")
-		workers   = flag.Int("workers", 1, "worker goroutines per solve (1 = sequential; try runtime.NumCPU())")
+		workers   = flag.Int("workers", 1, "worker goroutines per solve (try runtime.NumCPU()); results are identical for every count")
 		parts     = flag.Int("partitions", 0, "spatial regions for partitioned initial routing (0 = auto, 1 = off)")
 		verbose   = flag.Bool("v", false, "print per-benchmark progress to stderr")
 		deltaPerf = flag.Bool("delta", false, "measure the ECO delta re-solve against the cold pipeline")

@@ -43,7 +43,7 @@ func serverMain(args []string, logw io.Writer, ready func(addr string)) int {
 		addr         = fs.String("addr", ":8080", "listen address")
 		pool         = fs.Int("pool", 2, "solve worker pool size (concurrent jobs)")
 		queue        = fs.Int("queue", 16, "queued-job bound; submissions beyond it get 503 + Retry-After")
-		workers      = fs.Int("workers", 0, "per-solve worker goroutines (0 = sequential)")
+		workers      = fs.Int("workers", 0, "per-solve worker goroutines (0 = one); the solution is identical for every count")
 		deadline     = fs.Duration("deadline", 0, "default per-job deadline (0 = none)")
 		maxDeadline  = fs.Duration("max-deadline", 0, "per-job deadline cap (0 = unlimited)")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "how long a SIGTERM drain may take before giving up")

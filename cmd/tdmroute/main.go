@@ -45,7 +45,7 @@ func main() {
 		pow2     = flag.Bool("pow2", false, "restrict TDM ratios to powers of two (refs [2][3] domain)")
 		iterate  = flag.Int("iterate", 0, "feedback rounds of iterated co-optimization (0 = single pass)")
 		timeout  = flag.Duration("timeout", 0, "wall-clock budget; on expiry the best-so-far solution is still written (0 = unlimited)")
-		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines for routing and TDM assignment (1 = sequential)")
+		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines for routing and TDM assignment; the solution is identical for every count")
 		parts    = flag.Int("partitions", 0, "spatial regions for partitioned initial routing (0 = auto, 1 = off)")
 		cpuprof  = flag.String("cpuprofile", "", "write a pprof CPU profile of the solve to this file")
 	)

@@ -108,11 +108,11 @@ func buildChainDelta(t *testing.T, in *Instance, routes Routing, first *Delta) *
 // TestDeltaMatchesColdReference is the byte-identity contract of the ECO
 // path: across generator seeds, worker counts, and a deterministic mid-LR
 // cancellation, a ModeDelta solve on retained warm state must reproduce the
-// from-scratch reference (runDeltaCold) on the patched instance exactly —
-// same solution digest, same objective, same degradation. A second, chained
-// delta (consuming the handle the first one returned) is held to the same
-// standard, pinning multiplier capture, bias accumulation, and tombstone
-// handling across deltas.
+// from-scratch reference (runDeltaCold, run once from the Workers=1 base)
+// on the patched instance exactly — same solution digest, same objective,
+// same degradation. A second, chained delta (consuming the handle the
+// first one returned) is held to the same standard, pinning multiplier
+// capture, bias accumulation, and tombstone handling across deltas.
 func TestDeltaMatchesColdReference(t *testing.T) {
 	cases := []struct {
 		bench string
@@ -123,10 +123,23 @@ func TestDeltaMatchesColdReference(t *testing.T) {
 		{"hidden01", 12},
 	}
 	for _, tc := range cases {
-		for _, workers := range []int{1, 4} {
-			for _, cancelIter := range []int{-1, 1} {
+		for _, cancelIter := range []int{-1, 1} {
+			trace := func(cancel context.CancelFunc) func(int, float64, float64) {
+				if cancelIter < 0 {
+					return nil
+				}
+				return func(iter int, _, _ float64) {
+					if iter == cancelIter {
+						cancel()
+					}
+				}
+			}
+			// The cold chain, computed once from the first (Workers=1) base,
+			// and the instance it patches after each of its two deltas.
+			var in2, patched1 *Instance
+			var respC, respC2 *Response
+			for _, workers := range []int{1, 4} {
 				in1 := equivInstance(t, tc.bench, tc.shift)
-				in2 := in1.Clone() // frozen pre-delta copy for the cold reference
 				opt := Options{Workers: workers}
 
 				base, err := Run(context.Background(), Request{Instance: in1, Options: opt, Retain: true})
@@ -139,22 +152,13 @@ func TestDeltaMatchesColdReference(t *testing.T) {
 				}
 				baseRouting := h.Routes()
 				baseLambda := h.Lambda()
-
-				trace := func(cancel context.CancelFunc) func(int, float64, float64) {
-					if cancelIter < 0 {
-						return nil
-					}
-					return func(iter int, _, _ float64) {
-						if iter == cancelIter {
-							cancel()
-						}
-					}
+				d1 := buildTestDelta(t, in1, baseRouting)
+				if in2 == nil {
+					in2 = equivInstance(t, tc.bench, tc.shift)
 				}
 
-				d1 := buildTestDelta(t, in1, baseRouting)
-
 				wctx, wcancel := context.WithCancel(context.Background())
-				wopt := Options{}
+				wopt := opt
 				wopt.TDM.Trace = trace(wcancel)
 				respW, err := Run(wctx, Request{Mode: ModeDelta, Base: h, Delta: d1, Options: wopt})
 				wcancel()
@@ -165,13 +169,18 @@ func TestDeltaMatchesColdReference(t *testing.T) {
 					t.Fatalf("%s workers=%d cancel=%d: delta response did not return the handle", tc.bench, workers, cancelIter)
 				}
 
-				cctx, ccancel := context.WithCancel(context.Background())
-				copt := opt
-				copt.TDM.Trace = trace(ccancel)
-				respC, routingC, lambdaC, err := runDeltaCold(cctx, in2, baseRouting, nil, baseLambda, d1, copt)
-				ccancel()
-				if err != nil {
-					t.Fatalf("%s workers=%d cancel=%d: cold delta: %v", tc.bench, workers, cancelIter, err)
+				var routingC Routing
+				var lambdaC []float64
+				if respC == nil {
+					cctx, ccancel := context.WithCancel(context.Background())
+					copt := opt
+					copt.TDM.Trace = trace(ccancel)
+					respC, routingC, lambdaC, err = runDeltaCold(cctx, in2, baseRouting, nil, baseLambda, d1, copt)
+					ccancel()
+					if err != nil {
+						t.Fatalf("%s cancel=%d: cold delta: %v", tc.bench, cancelIter, err)
+					}
+					patched1 = in2.Clone()
 				}
 
 				compare := func(step string, w, c *Response, patched *Instance) {
@@ -193,18 +202,20 @@ func TestDeltaMatchesColdReference(t *testing.T) {
 							tc.bench, workers, cancelIter, step, err)
 					}
 				}
-				compare("delta1", respW, respC, in2)
+				compare("delta1", respW, respC, patched1)
 
 				// Chain a second delta through the same handle; the cold
 				// reference replays the first delta's bias on a fresh session.
 				d2 := buildChainDelta(t, h.Instance(), respW.Solution.Routes, d1)
-				respW2, err := Run(context.Background(), Request{Mode: ModeDelta, Base: respW.Warm, Delta: d2})
+				respW2, err := Run(context.Background(), Request{Mode: ModeDelta, Base: respW.Warm, Delta: d2, Options: opt})
 				if err != nil {
 					t.Fatalf("%s workers=%d cancel=%d: warm delta2: %v", tc.bench, workers, cancelIter, err)
 				}
-				respC2, _, _, err := runDeltaCold(context.Background(), in2, routingC, d1.EdgeBias, lambdaC, d2, opt)
-				if err != nil {
-					t.Fatalf("%s workers=%d cancel=%d: cold delta2: %v", tc.bench, workers, cancelIter, err)
+				if respC2 == nil {
+					respC2, _, _, err = runDeltaCold(context.Background(), in2, routingC, d1.EdgeBias, lambdaC, d2, opt)
+					if err != nil {
+						t.Fatalf("%s cancel=%d: cold delta2: %v", tc.bench, cancelIter, err)
+					}
 				}
 				compare("delta2", respW2, respC2, in2)
 			}

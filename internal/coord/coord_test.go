@@ -312,6 +312,52 @@ func TestCoordinatorEndToEnd(t *testing.T) {
 	_ = co
 }
 
+// TestCoordinatorCacheSharedAcrossWorkers pins that the worker count is
+// not part of the content address: a submission that differs from an
+// earlier one only in workers is answered from the cache, without a
+// backend solving it, and the cached bytes are what a direct run at the
+// new worker count returns.
+func TestCoordinatorCacheSharedAcrossWorkers(t *testing.T) {
+	in := testInstance(t)
+	bcfg := serve.Config{Workers: 2}
+	f := startFleet(t, 2, bcfg)
+	_, c := startCoord(t, f, nil)
+	ctx := context.Background()
+
+	first := serve.SubmitRequest{Instance: in, Workers: 1}
+	st, err := c.Submit(ctx, first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final, err := c.Wait(ctx, st.ID); err != nil || final.State != serve.StateDone {
+		t.Fatalf("first job: %v, %+v", err, final)
+	}
+
+	before := f.acceptedTotal(t)
+	second := serve.SubmitRequest{Instance: in, Workers: 4}
+	st, err = c.Submit(ctx, second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	final, err := c.Wait(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != serve.StateDone || final.Backend != "cache" {
+		t.Fatalf("workers=4 resubmission: state %s backend %q, want done from \"cache\"", final.State, final.Backend)
+	}
+	if after := f.acceptedTotal(t); after != before {
+		t.Fatalf("workers=4 resubmission invoked a backend: fleet accepted %v -> %v", before, after)
+	}
+	text, err := c.SolutionBytes(ctx, st.ID, serve.FormatText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, want, _ := reference(t, bcfg, second); !bytes.Equal(text, want) {
+		t.Fatal("cached solution differs from a direct run at workers=4")
+	}
+}
+
 // TestCoordinatorKillBackendReplay is the tentpole guarantee: the backend
 // running a job is killed mid-LR, the coordinator re-dispatches, and the
 // client-visible event stream and solution bytes are identical to an

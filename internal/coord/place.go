@@ -27,12 +27,12 @@ import (
 //   - retain: session placement, not problem content. Retained submissions
 //     skip the cache lookup (they need a live warm session), but their
 //     results still populate it for later identical plain submissions.
+//   - workers: how many goroutines the solve runs on. The solver returns
+//     identical bytes for every worker count, so submissions that differ
+//     only in workers share a cache line.
 //
-// Workers is normalized (negatives collapse to the sequential 1, as at the
-// solver's Run boundary) and kept in the key: routing waves partition the
-// nets by worker count, so distinct counts may route differently.
 // Partitions genuinely changes the routing, so distinct values must never
-// share a cache line either.
+// share a cache line.
 func cacheKey(sub serve.SubmitRequest) string {
 	h := sha256.New()
 	// The instance in canonical text form, minus the name header. The
@@ -47,12 +47,8 @@ func cacheKey(sub serve.SubmitRequest) string {
 		}
 	}
 	h.Write(body)
-	workers := sub.Workers
-	if workers < 0 {
-		workers = 1
-	}
-	fmt.Fprintf(h, "|mode=%s|rounds=%d|epsilon=%g|maxiter=%d|ripup=%d|workers=%d|pow2=%t|partitions=%d",
-		sub.Mode, sub.Rounds, sub.Epsilon, sub.MaxIter, sub.RipUp, workers, sub.Pow2, sub.Partitions)
+	fmt.Fprintf(h, "|mode=%s|rounds=%d|epsilon=%g|maxiter=%d|ripup=%d|pow2=%t|partitions=%d",
+		sub.Mode, sub.Rounds, sub.Epsilon, sub.MaxIter, sub.RipUp, sub.Pow2, sub.Partitions)
 	if sub.Routing != nil {
 		h.Write([]byte("|routing|"))
 		problem.WriteRouting(h, sub.Routing)

@@ -35,7 +35,7 @@ func TestCacheKeySoundness(t *testing.T) {
 		{"epsilon", func(s *serve.SubmitRequest) { s.Epsilon = 0.01 }, true},
 		{"maxiter", func(s *serve.SubmitRequest) { s.MaxIter = 100 }, true},
 		{"ripup", func(s *serve.SubmitRequest) { s.RipUp = 3 }, true},
-		{"workers", func(s *serve.SubmitRequest) { s.Workers = 2 }, true},
+		{"workers", func(s *serve.SubmitRequest) { s.Workers = 2 }, false},
 		{"pow2", func(s *serve.SubmitRequest) { s.Pow2 = true }, true},
 		{"partitions", func(s *serve.SubmitRequest) { s.Partitions = 3 }, true},
 		{"routing", func(s *serve.SubmitRequest) { s.Routing = otherRouting }, true},

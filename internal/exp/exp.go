@@ -39,7 +39,8 @@ type Config struct {
 	MaxIter int
 	// RipUpRounds forwards to the router (0 = default).
 	RipUpRounds int
-	// Workers forwards to both pipeline stages (0 = sequential).
+	// Workers forwards to both pipeline stages (0 = one goroutine); it
+	// does not change the results.
 	Workers int
 	// Partitions forwards to Options.Partitions (0 = auto, 1 = off).
 	Partitions int

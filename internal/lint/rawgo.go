@@ -9,8 +9,9 @@ import (
 // default): go statements, sync.WaitGroup, and channel construction. All
 // parallelism in the solver must flow through the deterministic chunked
 // fork-join helpers (par.For / par.ForMin), whose chunk boundaries — and
-// therefore results — depend only on n and the worker count. A bare
-// goroutine fan-out reintroduces scheduling order into results.
+// therefore results — depend only on n, so they are identical for every
+// worker count. A bare goroutine fan-out reintroduces scheduling order
+// into results.
 var RawGo = &Analyzer{
 	Name: "rawgo",
 	Doc:  "flag raw concurrency primitives outside internal/par",

@@ -174,7 +174,7 @@ func TestForCtxMidCancelSkipsAndReports(t *testing.T) {
 	if err != nil && !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
 	}
-	if err == nil && atomic.LoadInt64(&ran) != 4 {
+	if err == nil && atomic.LoadInt64(&ran) != int64(NumChunksMin(4096, 1)) {
 		t.Fatalf("nil error but only %d chunks ran", ran)
 	}
 }

@@ -40,7 +40,7 @@ func runLoop(t *testing.T, n, workers, minChunk, work int) run {
 		mu.Unlock()
 	})
 	defer SetChunkHook(nil)
-	partials := make([]float64, NumChunksMin(n, workers, minChunk))
+	partials := make([]float64, NumChunksMin(n, minChunk))
 	ForMin(n, workers, minChunk, work, func(chunk, start, end int) {
 		now := active.Add(1)
 		for deadline := time.Now().Add(20 * time.Millisecond); now < 2 && time.Now().Before(deadline); now = active.Load() {
@@ -73,8 +73,8 @@ var scheduleCases = []struct {
 	n, workers, minimum int
 }{
 	{"n-below-workers-times-minChunk", 700, 4, MinChunk},
-	{"uneven-last-chunk", 10, 4, 1},
-	{"uneven-last-chunk-MinChunk", 1000, 3, MinChunk},
+	{"uneven-last-chunk", 11, 4, 1},
+	{"uneven-last-chunk-MinChunk", 2500, 3, MinChunk},
 	{"workers-above-n", 3, 8, 1},
 	{"even", 4096, 4, 1},
 }
@@ -87,13 +87,13 @@ func TestInlineMatchesForked(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			inline := runLoop(t, tc.n, tc.workers, tc.minimum, grain-1)
 			forked := runLoop(t, tc.n, tc.workers, tc.minimum, grain)
-			chunks := NumChunksMin(tc.n, tc.workers, tc.minimum)
+			chunks := NumChunksMin(tc.n, tc.minimum)
 
 			if len(inline.triples) != chunks {
 				t.Fatalf("inline loop ran %d chunks, NumChunksMin says %d", len(inline.triples), chunks)
 			}
-			if tc.minimum == MinChunk && NumChunks(tc.n, tc.workers) != chunks {
-				t.Fatalf("NumChunks says %d chunks, the loop ran %d", NumChunks(tc.n, tc.workers), chunks)
+			if tc.minimum == MinChunk && NumChunks(tc.n) != chunks {
+				t.Fatalf("NumChunks says %d chunks, the loop ran %d", NumChunks(tc.n), chunks)
 			}
 			want := fmt.Sprint(inline.triples)
 			for c, tr := range inline.triples {
@@ -130,6 +130,9 @@ func TestInlineMatchesForked(t *testing.T) {
 			if chunks > 1 && forked.inFlight < 2 {
 				t.Fatalf("forked loop of %d chunks never had two in flight", chunks)
 			}
+			if limit := int32(min(tc.workers, chunks)); forked.inFlight > limit {
+				t.Fatalf("forked loop had %d chunks in flight, want at most %d goroutines", forked.inFlight, limit)
+			}
 		})
 	}
 }
@@ -147,7 +150,7 @@ func sortTriples(ts [][3]int) {
 // ctx.Err() for a context cancelled before the chunks start.
 func TestInlineMatchesForkedFailures(t *testing.T) {
 	for _, tc := range scheduleCases {
-		chunks := NumChunksMin(tc.n, tc.workers, tc.minimum)
+		chunks := NumChunksMin(tc.n, tc.minimum)
 		for _, work := range []int{grain - 1, grain} {
 			t.Run(fmt.Sprintf("%s/work=%d", tc.name, work), func(t *testing.T) {
 				// Every chunk but the first panics when there are several,

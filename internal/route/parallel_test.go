@@ -30,8 +30,10 @@ func routesEqual(a, b problem.Routing) bool {
 	return true
 }
 
-// TestRouteWorkers1IdenticalToSequential asserts the Workers=1 configuration
-// is byte-identical to the historical sequential router (Workers unset).
+// TestRouteWorkers1IdenticalToSequential asserts that Workers only
+// schedules: the routing and stats at Workers=1, 2, 3 and 8 are
+// byte-identical to the run with Workers unset, which runs every loop on
+// the calling goroutine.
 func TestRouteWorkers1IdenticalToSequential(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		in := randomInstance(14, 12, 300, 60, 500+seed)
@@ -39,43 +41,44 @@ func TestRouteWorkers1IdenticalToSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		one, oneStats, err := Route(context.Background(), in, Options{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !routesEqual(seq, one) {
-			t.Fatalf("seed %d: Workers=1 differs from sequential", seed)
-		}
-		if seqStats != oneStats {
-			t.Fatalf("seed %d: stats differ: %+v vs %+v", seed, seqStats, oneStats)
+		for _, workers := range []int{1, 2, 3, 8} {
+			got, stats, err := Route(context.Background(), in, Options{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !routesEqual(seq, got) {
+				t.Fatalf("seed %d: Workers=%d differs from sequential", seed, workers)
+			}
+			if seqStats != stats {
+				t.Fatalf("seed %d: Workers=%d stats differ: %+v vs %+v", seed, workers, seqStats, stats)
+			}
 		}
 	}
 }
 
 // TestRouteParallelValidAndDeterministic exercises the wave-parallel router
 // across worker counts and Steiner constructions: every result must be a
-// valid routing, and repeated runs with the same worker count must be
-// byte-identical (the wave-determinism contract).
+// valid routing, byte-identical to the Workers=1 routing of the same
+// instance.
 func TestRouteParallelValidAndDeterministic(t *testing.T) {
 	for _, alg := range []SteinerAlg{SteinerKMB, SteinerMehlhorn} {
 		for _, workers := range []int{2, 3, 8} {
 			t.Run(fmt.Sprintf("alg=%d/workers=%d", alg, workers), func(t *testing.T) {
 				for seed := int64(0); seed < 3; seed++ {
 					in := randomInstance(14, 12, 400, 80, 600+seed)
-					opt := Options{Workers: workers, InitialSteiner: alg}
-					a, _, err := Route(context.Background(), in, opt)
+					a, _, err := Route(context.Background(), in, Options{Workers: workers, InitialSteiner: alg})
 					if err != nil {
 						t.Fatal(err)
 					}
 					if err := problem.ValidateRouting(in, a); err != nil {
 						t.Fatalf("seed %d: invalid: %v", seed, err)
 					}
-					b, _, err := Route(context.Background(), in, opt)
+					b, _, err := Route(context.Background(), in, Options{Workers: 1, InitialSteiner: alg})
 					if err != nil {
 						t.Fatal(err)
 					}
 					if !routesEqual(a, b) {
-						t.Fatalf("seed %d: same worker count differs across runs", seed)
+						t.Fatalf("seed %d: Workers=%d differs from Workers=1", seed, workers)
 					}
 				}
 			})
@@ -87,11 +90,13 @@ func TestRouteParallelValidAndDeterministic(t *testing.T) {
 // job: a large wave-parallel run with rip-up rounds on top. The graph is
 // big enough that each wave's estimated work is above par's grain, so the
 // waves fork and the race detector sees concurrent embedding; the chunk
-// hook checks that two chunks were indeed in flight at once.
+// hook checks that two chunks were indeed in flight at once. The forked
+// routing must equal the inline one at Workers=1.
 func TestRouteParallelRace(t *testing.T) {
 	in := randomInstance(200, 400, 1500, 300, 77)
+	opt := Options{Workers: 8, RipUpRounds: 3, KeepWorse: true}
 	overlapped := watchOverlap(t)
-	routes, _, err := Route(context.Background(), in, Options{Workers: 8, RipUpRounds: 3, KeepWorse: true})
+	routes, _, err := Route(context.Background(), in, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,6 +105,14 @@ func TestRouteParallelRace(t *testing.T) {
 	}
 	if !overlapped() {
 		t.Fatal("no two chunks were ever in flight at once: the waves ran inline")
+	}
+	opt.Workers = 1
+	inline, _, err := Route(context.Background(), in, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !routesEqual(routes, inline) {
+		t.Fatal("forked routing at Workers=8 differs from the inline one at Workers=1")
 	}
 }
 
@@ -124,31 +137,6 @@ func watchOverlap(t *testing.T) (overlapped func() bool) {
 	})
 	t.Cleanup(func() { par.SetChunkHook(nil) })
 	return met.Load
-}
-
-// TestRouteParallelQualityClose asserts the speculative wave routing does
-// not collapse quality: the parallel max-φ estimate must stay within 2x of
-// the sequential one summed over seeds (both are congestion-aware; the
-// waves only lose intra-wave feedback).
-func TestRouteParallelQualityClose(t *testing.T) {
-	var seqTotal, parTotal int64
-	for seed := int64(0); seed < 4; seed++ {
-		in := randomInstance(14, 12, 400, 80, 700+seed)
-		seq, _, err := Route(context.Background(), in, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pr, _, err := Route(context.Background(), in, Options{Workers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		seqTotal += maxPhi(in, seq)
-		parTotal += maxPhi(in, pr)
-	}
-	if parTotal > 2*seqTotal {
-		t.Errorf("parallel quality collapsed: max-φ %d vs sequential %d", parTotal, seqTotal)
-	}
-	t.Logf("max-φ totals: sequential=%d workers=4 %d", seqTotal, parTotal)
 }
 
 // TestRerouteNetsDuplicatesIgnored is the regression test for the usage

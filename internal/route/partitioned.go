@@ -67,13 +67,13 @@ func (r *router) routePartitioned(ctx context.Context, order []int) error {
 	// Phase A: route each region's local nets sequentially against a
 	// region-private congestion array, regions fanned out across workers.
 	// A region's result depends only on its own net sequence (worker
-	// scratch is reset per search), so the chunk-to-region schedule — the
-	// only thing Workers changes — cannot affect the routing.
+	// scratch is reset per search), so which chunk's solver and which
+	// goroutine route it cannot affect the routing.
 	workers := r.opt.workers()
-	nchunks := par.NumChunksMin(p, workers, 1)
+	nchunks := par.NumChunksMin(p, 1)
 	pws := make([]*netWorker, nchunks)
 	pws[0] = r.w0
-	//lint:ignore ctxflow one-time O(workers) scratch cloning, not solver iteration; the region loop below checks ctx per net
+	//lint:ignore ctxflow one-time O(chunks) scratch cloning, not solver iteration; the region loop below checks ctx per net
 	for i := 1; i < nchunks; i++ {
 		pws[i] = r.w0.clone()
 	}

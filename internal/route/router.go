@@ -61,31 +61,26 @@ type Options struct {
 	RerouteSteiner SteinerAlg
 	// Order selects the initial net ordering (paper: OrderThetaAsc).
 	Order NetOrder
-	// Workers fixes the chunk partition of the routing hot loops
-	// (terminal-MST construction, wave-parallel net embedding, and the
-	// ψ/φ(g) congestion sweeps) and the wave size, and so the routing.
-	// <= 1 routes sequentially and reproduces the historical
-	// single-threaded results exactly. >= 2 routes the θ-ordered net
-	// sequence in waves of Workers*waveFactor nets: every net of a wave is
+	// Workers is the most goroutines the routing hot loops (terminal-MST
+	// construction, wave-parallel net embedding, and the ψ/φ(g) congestion
+	// sweeps) run on; <= 1 runs them on the caller. The θ-ordered net
+	// sequence is always routed in waves of up to waveSize nets, their
+	// length set by the net count (waveLen): every net of a wave is
 	// embedded against a frozen usage snapshot, then the wave's trees are
 	// merged into the shared usage in wave order (ParaLarH-style
-	// speculative routing). Whether a loop's chunks actually run on up to
-	// Workers goroutines is decided by its estimated work (see package
-	// par): a small wave runs its chunks one after another on the caller,
-	// with the same result. Results are deterministic for a fixed Workers
-	// value; different worker counts partition the waves differently and
-	// may route individual nets differently.
+	// speculative routing). Whether a loop's chunks actually fork is
+	// decided by its estimated work (see package par). The routing is
+	// identical for every Workers value: it only schedules fixed work.
 	Workers int
 	// Partitions > 1 routes the initial net ordering through that many
 	// spatially partitioned regions instead of waves: region-local nets
 	// (all terminals inside one region) are routed per region against
 	// region-private congestion, regions run concurrently, and boundary
 	// nets plus any local net whose tree escaped its home region are
-	// rerouted sequentially against the merged congestion. The result is a
-	// pure function of (instance, Options minus Workers): unlike waves,
-	// worker counts only change the schedule, never the routing. 0 and 1
-	// disable partitioning (partitioned routing is opt-in because it routes
-	// differently from the historical sequential order).
+	// rerouted sequentially against the merged congestion. As with waves,
+	// the result is identical for every Workers value. 0 and 1 disable
+	// partitioning (partitioned routing is opt-in because it routes
+	// differently from the waves).
 	Partitions int
 }
 
@@ -218,8 +213,7 @@ type router struct {
 	in   *problem.Instance
 	opt  Options
 	apsp *graph.APSP
-	w0   *netWorker   // worker used by the sequential paths
-	ws   []*netWorker // wave-parallel worker pool (ws[0] == w0), built on demand
+	w0   *netWorker // worker used by the sequential paths
 
 	routes  problem.Routing
 	usage   []uint64 // nets currently routed on each edge (|N_e|)
@@ -361,7 +355,6 @@ func (r *router) initialRoute(ctx context.Context) error {
 	if err := r.buildMSTs(ctx); err != nil {
 		return err
 	}
-	msts := r.mst
 
 	// θ(n) = max over groups containing n of the group's summed MST cost.
 	groupCost := make([]int64, len(r.in.Groups))
@@ -397,19 +390,7 @@ func (r *router) initialRoute(ctx context.Context) error {
 	if r.opt.partitions() > 1 {
 		return r.routePartitioned(ctx, order)
 	}
-	if r.opt.workers() > 1 {
-		return r.routeWaves(ctx, order)
-	}
-	for _, n := range order {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("route: initial routing interrupted: %w", err)
-		}
-		if err := r.embed(n, r.opt.InitialSteiner, msts[n], r.usage); err != nil {
-			return err
-		}
-		r.stats.RoutedNets++
-	}
-	return nil
+	return r.routeWaves(ctx, order)
 }
 
 // embed computes net n's tree with the sequential worker against base and

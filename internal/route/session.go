@@ -66,8 +66,8 @@ func NewSessionFromRouting(in *problem.Instance, routes problem.Routing, opt Opt
 // routing are already routed.
 //
 // Cancellation semantics: the context is checked at deterministic
-// boundaries only — per net in the sequential embed loop, per wave in the
-// parallel path, and per rip-up round (including per member net inside a
+// boundaries only — per wave of the initial routing (per net in the
+// partitioned path), and per rip-up round (including per member net inside a
 // round, which then reverts the partial round). If ctx is cancelled before
 // the initial routing completes there is no legal topology and Route
 // returns the cancellation error; once the initial routing exists, a

@@ -83,7 +83,7 @@ func (r *cellRef) computePi() {
 func (r *cellRef) solveLRS() float64 {
 	numEdges := len(r.edgeStart) - 1
 	workers := r.s.opt.Workers
-	partial := make([]float64, par.NumChunks(numEdges, workers))
+	partial := make([]float64, par.NumChunks(numEdges))
 	par.For(numEdges, workers, 0, func(chunk, start, end int) {
 		var lb float64
 		for e := start; e < end; e++ {

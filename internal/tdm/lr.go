@@ -227,7 +227,7 @@ func (s *lrState) setPi(n int, p, sqrtFloor float64) {
 // reads.
 func (s *lrState) solveLRS() (lowerBound float64) {
 	numEdges := len(s.edgeStart) - 1
-	partial := s.scratch(par.NumChunks(numEdges, s.opt.Workers))
+	partial := s.scratch(par.NumChunks(numEdges))
 	par.For(numEdges, s.opt.Workers, len(s.cellNet), func(chunk, start, end int) {
 		var lb float64
 		for e := start; e < end; e++ {
@@ -270,7 +270,7 @@ func (s *lrState) groupTDMs(routes problem.Routing, netWork int) (z float64) {
 			s.netTDM[n] = sum
 		}
 	})
-	partial := s.scratch(par.NumChunks(len(s.grpTDM), s.opt.Workers))
+	partial := s.scratch(par.NumChunks(len(s.grpTDM)))
 	par.For(len(s.grpTDM), s.opt.Workers, len(s.grpNet), func(chunk, start, end int) {
 		var zc float64
 		for gi := start; gi < end; gi++ {
@@ -327,7 +327,7 @@ func (s *lrState) updateMultipliers(z float64) {
 	// at the default α = 3 — and skips the dispatch and exponent
 	// bookkeeping that cannot change a result there.
 	floorFast := alpha >= 0
-	partial := s.scratch(par.NumChunks(len(s.lambda), s.opt.Workers))
+	partial := s.scratch(par.NumChunks(len(s.lambda)))
 	par.For(len(s.lambda), s.opt.Workers, len(s.lambda)*lambdaUpdateWork, func(chunk, start, end int) {
 		var sum float64
 		for gi := start; gi < end; gi++ {

@@ -47,14 +47,12 @@ type Options struct {
 	// LegalPow2 (the power-of-two restriction of the paper's refs [2][3],
 	// which keeps TDM slot frames short at some objective cost).
 	Legal Legalizer
-	// Workers is the chunk count of the LR inner loops (following the
-	// multi-threaded LR of the paper's ref [14]); <= 1 runs serially. A
-	// sweep runs its chunks on up to Workers goroutines only when its
-	// estimated work pays for the fork (see package par), otherwise one
-	// after another on the caller, with the same result. Results are
-	// deterministic for a fixed Workers value; different worker counts may
-	// differ in the last floating-point ulps because partial sums
-	// associate differently.
+	// Workers is the most goroutines the LR inner loops run on (following
+	// the multi-threaded LR of the paper's ref [14]); <= 1 runs them on the
+	// caller. A sweep forks only when its estimated work pays for it (see
+	// package par). Each sweep's chunk partition, and so the order its
+	// partial sums associate in, depends on the loop length only, so the
+	// results are identical for every Workers value.
 	Workers int
 	// Trace, when non-nil, receives (iteration, z, LB) after every LR
 	// iteration — the series plotted in Fig. 3(b).

@@ -105,7 +105,7 @@ func updateMultipliersMathPow(s *lrState, z float64) {
 	alpha, beta := s.opt.Alpha, s.opt.Beta
 	k0 := (alpha-1)*stats.Sigmoid(0) + 1
 	floorFast := alpha >= 0
-	partial := s.scratch(par.NumChunks(len(s.lambda), s.opt.Workers))
+	partial := s.scratch(par.NumChunks(len(s.lambda)))
 	par.For(len(s.lambda), s.opt.Workers, len(s.lambda)*lambdaUpdateWork, func(chunk, start, end int) {
 		var sum float64
 		for gi := start; gi < end; gi++ {

@@ -43,10 +43,11 @@ func equivInstance(t *testing.T, name string, seedShift int64) *Instance {
 }
 
 // TestSolveIterativeMatchesColdReference is the byte-identity contract of
-// the incremental core: across generator seeds, worker counts, and a
-// deterministic mid-round cancellation, the session-reusing ModeIterative
-// Run must reproduce the from-scratch reference (solveIterativeCold)
-// exactly — same solution bytes, same round counts, same objective.
+// the incremental core: across generator seeds and a deterministic
+// mid-round cancellation, the session-reusing ModeIterative Run at every
+// worker count must reproduce the from-scratch reference
+// (solveIterativeCold, run once at Workers=1) exactly — same solution
+// bytes, same round counts, same objective.
 func TestSolveIterativeMatchesColdReference(t *testing.T) {
 	cases := []struct {
 		bench string
@@ -57,34 +58,34 @@ func TestSolveIterativeMatchesColdReference(t *testing.T) {
 		{"hidden01", 2},
 	}
 	for _, tc := range cases {
-		for _, workers := range []int{1, 4} {
-			for _, cancelRound := range []int{-1, 1} {
-				in := equivInstance(t, tc.bench, tc.shift)
-				run := func(solve func(context.Context, Request) (*Response, error)) *Response {
-					ctx, cancel := context.WithCancel(context.Background())
-					defer cancel()
-					req := Request{
-						Instance: in,
-						Mode:     ModeIterative,
-						Rounds:   4,
-						Options:  Options{Workers: workers},
-					}
-					if cancelRound >= 0 {
-						req.onRound = func(round int) {
-							if round == cancelRound {
-								cancel()
-							}
+		for _, cancelRound := range []int{-1, 1} {
+			in := equivInstance(t, tc.bench, tc.shift)
+			run := func(solve func(context.Context, Request) (*Response, error), workers int) *Response {
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				req := Request{
+					Instance: in,
+					Mode:     ModeIterative,
+					Rounds:   4,
+					Options:  Options{Workers: workers},
+				}
+				if cancelRound >= 0 {
+					req.onRound = func(round int) {
+						if round == cancelRound {
+							cancel()
 						}
 					}
-					res, err := solve(ctx, req)
-					if err != nil {
-						t.Fatalf("%s workers=%d cancel=%d: %v", tc.bench, workers, cancelRound, err)
-					}
-					return res
 				}
-				warm := run(Run)
-				cold := run(solveIterativeCold)
-
+				res, err := solve(ctx, req)
+				if err != nil {
+					t.Fatalf("%s workers=%d cancel=%d: %v", tc.bench, workers, cancelRound, err)
+				}
+				return res
+			}
+			cold := run(solveIterativeCold, 1)
+			cb := solutionBytes(t, cold.Solution)
+			for _, workers := range []int{1, 4} {
+				warm := run(Run, workers)
 				if warm.Report.GTRMax != cold.Report.GTRMax ||
 					warm.InitialGTR != cold.InitialGTR ||
 					warm.RoundsRun != cold.RoundsRun ||
@@ -94,9 +95,7 @@ func TestSolveIterativeMatchesColdReference(t *testing.T) {
 						warm.Report.GTRMax, warm.InitialGTR, warm.RoundsRun, warm.RoundsKept,
 						cold.Report.GTRMax, cold.InitialGTR, cold.RoundsRun, cold.RoundsKept)
 				}
-				wb := solutionBytes(t, warm.Solution)
-				cb := solutionBytes(t, cold.Solution)
-				if !bytes.Equal(wb, cb) {
+				if wb := solutionBytes(t, warm.Solution); !bytes.Equal(wb, cb) {
 					t.Fatalf("%s workers=%d cancel=%d: solution bytes diverged (%d vs %d bytes)",
 						tc.bench, workers, cancelRound, len(wb), len(cb))
 				}
@@ -109,21 +108,22 @@ func TestSolveIterativeMatchesColdReference(t *testing.T) {
 	}
 }
 
-// TestSingleMatchesColdReference pins ModeSingle, with and without Retain,
-// to the one-shot reference runSingleCold: same solution bytes and the same
-// report, across generator seeds and worker counts.
+// TestSingleMatchesColdReference pins ModeSingle, with and without Retain
+// and at every worker count, to the one-shot reference runSingleCold run
+// once at Workers=1: same solution bytes and the same report, across
+// generator seeds.
 func TestSingleMatchesColdReference(t *testing.T) {
 	for i, bench := range []string{"synopsys01", "synopsys02", "hidden01"} {
+		in := equivInstance(t, bench, int64(i))
+		opt, err := Options{Workers: 1}.normalized()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := runSingleCold(context.Background(), in, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, workers := range []int{1, 4} {
-			in := equivInstance(t, bench, int64(i))
-			opt, err := Options{Workers: workers}.normalized()
-			if err != nil {
-				t.Fatal(err)
-			}
-			cold, err := runSingleCold(context.Background(), in, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
 			for _, retain := range []bool{false, true} {
 				res, err := Run(context.Background(), Request{Instance: in, Options: Options{Workers: workers}, Retain: retain})
 				if err != nil {

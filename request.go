@@ -99,7 +99,7 @@ type Request struct {
 	// Options configures both pipeline stages; only Options.TDM and
 	// Options.Workers apply to ModeAssignOnly. Worker counts are normalized
 	// exactly once, at the Run boundary: Options.Workers fans into both
-	// stages and non-positive counts run sequentially, identically in every
+	// stages and non-positive counts run on the calling goroutine, in every
 	// mode.
 	Options Options
 	// Rounds is the feedback-round budget for ModeIterative (0 selects 3).
@@ -291,7 +291,7 @@ func (e *OptionError) Error() string {
 
 // normalized validates and canonicalizes the options once, at the Run
 // boundary: Workers and Partitions are the only parallelism and partition
-// knobs, non-positive worker counts mean sequential, and both are copied
+// knobs, non-positive worker counts run on the caller, and both are copied
 // into the stages. A stage-level value set by the caller would otherwise be
 // silently overridden, so it is rejected. Validation failures are
 // *OptionError values.

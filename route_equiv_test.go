@@ -9,11 +9,11 @@ import (
 	"tdmroute/internal/problem"
 )
 
-// TestPartitionedRoutingWorkerInvariance pins the determinism contract of
+// TestPartitionedRoutingWorkerInvariance pins the worker-count contract of
 // partitioned initial routing: for a fixed Partitions count the result is a
-// pure function of the instance and the options minus Workers — unlike the
-// wave path, whose schedule feeds congestion back into the result. Every
-// solution must also survive the independent validator.
+// pure function of the instance and the options minus Workers, as on the
+// wave path (TestRunIdenticalAcrossWorkers). Every solution must also
+// survive the independent validator.
 func TestPartitionedRoutingWorkerInvariance(t *testing.T) {
 	cases := []struct {
 		bench string
@@ -26,7 +26,7 @@ func TestPartitionedRoutingWorkerInvariance(t *testing.T) {
 		in := equivInstance(t, tc.bench, tc.shift)
 		var ref []byte
 		var refGTR int64
-		for _, workers := range []int{1, 4} {
+		for _, workers := range []int{1, 2, 3, 8} {
 			resp, err := Run(context.Background(), Request{
 				Instance: in,
 				Options:  Options{Workers: workers, Partitions: 3},

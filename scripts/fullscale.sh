@@ -4,11 +4,13 @@
 # scale 1.0 (workflow_dispatch + nightly cron); the per-PR job runs it at
 # scale 0.01 so the script itself stays working.
 #
-#   1. Worker invariance of partitioned routing: each board is generated
-#      with cmd/gen and solved by cmd/tdmroute -partitions 3 -iterate
-#      $FULLSCALE_ROUNDS at -workers 1 and -workers 2; the two solution
-#      files must be byte-identical (cmp), since the routing is a pure
-#      function of the instance and the partition count.
+#   1. Worker invariance of the default solve path: each board is
+#      generated with cmd/gen and solved by cmd/tdmroute -iterate
+#      $FULLSCALE_ROUNDS (wave routing, LR, legalization, refinement and
+#      feedback rounds) at -workers 1, 2 and 4; the solution files must be
+#      byte-identical (cmp), since Workers only schedules fixed work: the
+#      routing waves and every LR chunk partition depend on the instance
+#      alone.
 #   2. Legality: synopsys01 is generated with cmd/gen, solved with
 #      cmd/tdmroute, and the written solution is checked by the independent
 #      checker cmd/eval (ValidateSolution, with an AuditSolution report of
@@ -36,22 +38,23 @@ mkdir -p "$OUT"
 echo "== build"
 go build -o "$OUT/" ./cmd/gen ./cmd/tdmroute ./cmd/eval
 
-# A divergence here means the partitioned router's schedule leaked into
-# its result.
+# A divergence here means the worker count leaked into the result.
 for b in $(echo "$BENCHES" | tr ',' ' '); do
   "$OUT/gen" -name "$b" -scale "$SCALE" -o "$OUT/$b.txt"
-  for w in 1 2; do
-    echo "== $b scale $SCALE, partitions 3, workers $w"
-    "$OUT/tdmroute" -in "$OUT/$b.txt" -out "$OUT/part-$b-w$w.sol" \
-      -partitions 3 -iterate "$ROUNDS" -workers "$w" >"$OUT/part-$b-w$w.log"
-    grep '^Time:' "$OUT/part-$b-w$w.log"
+  for w in 1 2 4; do
+    echo "== $b scale $SCALE, workers $w"
+    "$OUT/tdmroute" -in "$OUT/$b.txt" -out "$OUT/$b-w$w.sol" \
+      -iterate "$ROUNDS" -workers "$w" >"$OUT/$b-w$w.log"
+    grep '^Time:' "$OUT/$b-w$w.log"
   done
-  if ! cmp "$OUT/part-$b-w1.sol" "$OUT/part-$b-w2.sol"; then
-    echo "FAIL: partitioned solution digests differ across worker counts at scale $SCALE"
-    exit 1
-  fi
+  for w in 2 4; do
+    if ! cmp "$OUT/$b-w1.sol" "$OUT/$b-w$w.sol"; then
+      echo "FAIL: $b solutions differ between workers 1 and $w at scale $SCALE"
+      exit 1
+    fi
+  done
 done
-echo "partitioned solution digests identical at workers 1 and 2"
+echo "solution digests identical at workers 1, 2 and 4"
 
 echo "== legality: synopsys01 at scale $SCALE through cmd/tdmroute and cmd/eval"
 "$OUT/gen" -name synopsys01 -scale "$SCALE" -o "$OUT/synopsys01.txt"

@@ -147,10 +147,10 @@ type Options struct {
 	// non-zero value there is an *OptionError naming the field.
 	Route RouteOptions
 	TDM   TDMOptions
-	// Workers is the worker count of both stages; zero and negative values
-	// run sequentially. Each stage is deterministic for a fixed worker
-	// count; see RouteOptions.Workers for the routing wave-determinism
-	// contract.
+	// Workers is the most goroutines each stage's parallel loops run on;
+	// zero and negative values run them on the calling goroutine. It only
+	// schedules fixed work: every byte Run returns is identical for every
+	// worker count.
 	Workers int
 	// Partitions is the spatial region count of partitioned initial routing
 	// (RouteOptions.Partitions). 0 selects auto (currently a single region,

@@ -210,10 +210,11 @@ func TestGoldenDeterminism(t *testing.T) {
 	}
 	// Golden values for this seed/scale. If an intentional algorithm
 	// change shifts them, update the constants alongside the change.
-	// Last rotation: the canonical equal-cost tie-break in the Dijkstra
-	// engines (smallest edge id wins) re-selected some shortest paths.
+	// Last rotation: initial routing runs in waves at every worker count
+	// (5-net waves at this instance's 342 nets) instead of one net at a
+	// time when Workers is unset (was 58/62).
 	const (
-		goldenGTR   = 58
+		goldenGTR   = 60
 		goldenNoRef = 62
 	)
 	if res.Report.GTRMax != goldenGTR || res.Report.GTRNoRef != goldenNoRef {
