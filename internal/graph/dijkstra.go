@@ -11,94 +11,6 @@ type Cost struct {
 	Hops    uint32
 }
 
-// Less reports whether c is strictly cheaper than d.
-func (c Cost) Less(d Cost) bool {
-	if c.Primary != d.Primary {
-		return c.Primary < d.Primary
-	}
-	return c.Hops < d.Hops
-}
-
-// Add returns the cost of extending a path of cost c by one edge of the
-// given primary cost. It panics if the Primary sum would wrap.
-func (c Cost) Add(edgePrimary uint64) Cost {
-	return Cost{Primary: addPrimary(c.Primary, edgePrimary), Hops: c.Hops + 1}
-}
-
-// addPrimary returns a+b, checked before the add: a Primary that wrapped
-// would silently reorder paths, so overflow is a programming error.
-func addPrimary(a, b uint64) uint64 {
-	if b > ^uint64(0)-a {
-		panic("graph: path primary cost overflows uint64")
-	}
-	return a + b
-}
-
-// InfCost is larger than any reachable path cost.
-var InfCost = Cost{Primary: ^uint64(0), Hops: ^uint32(0)}
-
-type dijkstraItem struct {
-	vertex int
-	cost   Cost
-}
-
-// dijkstraHeap is a hand-rolled typed binary min-heap for the multi-source
-// searches of MehlhornSolver. container/heap would box every dijkstraItem
-// into an interface{}, and that allocation dominates a router issuing
-// hundreds of thousands of searches.
-type dijkstraHeap []dijkstraItem
-
-func (h *dijkstraHeap) push(it dijkstraItem) {
-	*h = append(*h, it)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !s[i].cost.Less(s[parent].cost) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
-	}
-}
-
-func (h *dijkstraHeap) pop() dijkstraItem {
-	s := *h
-	top := s[0]
-	last := len(s) - 1
-	s[0] = s[last]
-	*h = s[:last]
-	h.siftDown(0)
-	return top
-}
-
-// init re-establishes the heap property over arbitrary contents.
-func (h dijkstraHeap) init() {
-	n := len(h)
-	for i := n/2 - 1; i >= 0; i-- {
-		h.siftDown(i)
-	}
-}
-
-func (h dijkstraHeap) siftDown(i int) {
-	n := len(h)
-	for {
-		l, rgt := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && h[l].cost.Less(h[smallest].cost) {
-			smallest = l
-		}
-		if rgt < n && h[rgt].cost.Less(h[smallest].cost) {
-			smallest = rgt
-		}
-		if smallest == i {
-			return
-		}
-		h[i], h[smallest] = h[smallest], h[i]
-		i = smallest
-	}
-}
-
 // Dijkstra runs single-source shortest-path searches on one graph with
 // caller-supplied per-edge primary costs. It owns reusable buffers so that a
 // router issuing millions of searches does not re-allocate per call.

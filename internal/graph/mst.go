@@ -70,9 +70,8 @@ func MSTCost(tree []WeightedEdge) int64 {
 
 // satAdd adds two edge weights, clamping at the int64 extremes instead of
 // wrapping. It mirrors problem.SatAdd64, which this package cannot import
-// (problem depends on graph): foldCost caps a single weight at 2^62-1, so a
-// tree holding a few near-saturated corridor weights would otherwise wrap
-// MSTCost negative and invert the net-ordering score.
+// (problem depends on graph): a tree holding a few near-saturated weights
+// would otherwise wrap MSTCost negative and invert the net-ordering score.
 func satAdd(a, b int64) int64 {
 	s := a + b
 	if (a > 0 && b > 0 && s < 0) || (a < 0 && b < 0 && s >= 0) {

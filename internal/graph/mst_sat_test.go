@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// TestMSTCostSaturates pins the clamp: foldCost caps a single bridge weight
-// at 2^62-1, so a degenerate tree of three such edges must saturate rather
-// than wrap negative (a negative theta would invert the net ordering).
+// TestMSTCostSaturates pins the clamp: a degenerate tree of three edges of
+// weight 2^62-1 must saturate rather than wrap negative (a negative theta
+// would invert the net ordering).
 func TestMSTCostSaturates(t *testing.T) {
 	const capped = 1<<62 - 1
 	tree := []WeightedEdge{

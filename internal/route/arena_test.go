@@ -29,7 +29,7 @@ func TestComputeTreeSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	run := func() {
-		tree, err := r.computeTree(r.w0, n, r.opt.InitialSteiner, r.mst[n], r.usage)
+		tree, err := r.computeTree(r.w0, n, r.mst[n], r.usage)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -113,7 +113,7 @@ func (r *router) routeWaves(ctx context.Context, order []int) error {
 			for k := s; k < e; k++ {
 				for i := k * len(wave) / len(ws); i < (k+1)*len(wave)/len(ws); i++ {
 					n := wave[i]
-					tree, err := r.computeTree(ws[k], n, r.opt.InitialSteiner, msts[n], r.usage)
+					tree, err := r.computeTree(ws[k], n, msts[n], r.usage)
 					if err != nil {
 						errs[k] = err
 						break
@@ -138,9 +138,7 @@ func (r *router) routeWaves(ctx context.Context, order []int) error {
 
 // waveWork estimates the element visits of embedding a wave: KMB runs one
 // shortest-path search per terminal-MST edge (k-1 for k terminals), and a
-// search visits up to every arc of the graph, 2·NumEdges. Mehlhorn's
-// construction searches once from all terminals, so for it the estimate
-// errs toward forking.
+// search visits up to every arc of the graph, 2·NumEdges.
 func (r *router) waveWork(wave []int) int {
 	searches := 0
 	for _, n := range wave {

@@ -57,32 +57,29 @@ func TestRouteWorkers1IdenticalToSequential(t *testing.T) {
 }
 
 // TestRouteParallelValidAndDeterministic exercises the wave-parallel router
-// across worker counts and Steiner constructions: every result must be a
-// valid routing, byte-identical to the Workers=1 routing of the same
-// instance.
+// across worker counts: every result must be a valid routing,
+// byte-identical to the Workers=1 routing of the same instance.
 func TestRouteParallelValidAndDeterministic(t *testing.T) {
-	for _, alg := range []SteinerAlg{SteinerKMB, SteinerMehlhorn} {
-		for _, workers := range []int{2, 3, 8} {
-			t.Run(fmt.Sprintf("alg=%d/workers=%d", alg, workers), func(t *testing.T) {
-				for seed := int64(0); seed < 3; seed++ {
-					in := randomInstance(14, 12, 400, 80, 600+seed)
-					a, _, err := Route(context.Background(), in, Options{Workers: workers, InitialSteiner: alg})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := problem.ValidateRouting(in, a); err != nil {
-						t.Fatalf("seed %d: invalid: %v", seed, err)
-					}
-					b, _, err := Route(context.Background(), in, Options{Workers: 1, InitialSteiner: alg})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !routesEqual(a, b) {
-						t.Fatalf("seed %d: Workers=%d differs from Workers=1", seed, workers)
-					}
+	for _, workers := range []int{2, 3, 8} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			for seed := int64(0); seed < 3; seed++ {
+				in := randomInstance(14, 12, 400, 80, 600+seed)
+				a, _, err := Route(context.Background(), in, Options{Workers: workers})
+				if err != nil {
+					t.Fatal(err)
 				}
-			})
-		}
+				if err := problem.ValidateRouting(in, a); err != nil {
+					t.Fatalf("seed %d: invalid: %v", seed, err)
+				}
+				b, _, err := Route(context.Background(), in, Options{Workers: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !routesEqual(a, b) {
+					t.Fatalf("seed %d: Workers=%d differs from Workers=1", seed, workers)
+				}
+			}
+		})
 	}
 }
 
@@ -90,15 +87,20 @@ func TestRouteParallelValidAndDeterministic(t *testing.T) {
 // job: a large wave-parallel run with rip-up rounds on top. The graph is
 // big enough that each wave's estimated work is above par's grain, so the
 // waves fork and the race detector sees concurrent embedding; the chunk
-// hook checks that two chunks were indeed in flight at once. The forked
-// routing must equal the inline one at Workers=1.
+// hook checks that two chunks were indeed in flight at once. On this input
+// the first two rip-up rounds lower max φ and stick, and the third is
+// reverted, so both the accept and the revert path run. The forked routing
+// must equal the inline one at Workers=1.
 func TestRouteParallelRace(t *testing.T) {
-	in := randomInstance(200, 400, 1500, 300, 77)
-	opt := Options{Workers: 8, RipUpRounds: 3, KeepWorse: true}
+	in := randomInstance(200, 3000, 1500, 300, 84)
+	opt := Options{Workers: 8, RipUpRounds: 3}
 	overlapped := watchOverlap(t)
-	routes, _, err := Route(context.Background(), in, opt)
+	routes, stats, err := Route(context.Background(), in, opt)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if stats.RipUpRounds != 3 || stats.RevertedRound != 1 {
+		t.Fatalf("rip-up ran %d rounds with %d reverted, want 3 with 1: the input no longer keeps its rounds", stats.RipUpRounds, stats.RevertedRound)
 	}
 	if err := problem.ValidateRouting(in, routes); err != nil {
 		t.Fatal(err)

@@ -92,7 +92,7 @@ func (r *router) routePartitioned(ctx context.Context, order []int) error {
 					errs[chunk] = err
 					return
 				}
-				tree, err := r.computeTree(w, n, r.opt.InitialSteiner, r.mst[n], regUsage)
+				tree, err := r.computeTree(w, n, r.mst[n], regUsage)
 				if err != nil {
 					errs[chunk] = err
 					return
@@ -160,7 +160,7 @@ func (r *router) routePartitioned(ctx context.Context, order []int) error {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("route: initial routing interrupted: %w", err)
 		}
-		if err := r.embed(n, r.opt.InitialSteiner, r.mst[n], r.usage); err != nil {
+		if err := r.embed(n, r.mst[n], r.usage); err != nil {
 			return err
 		}
 		r.stats.RoutedNets++

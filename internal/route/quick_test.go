@@ -18,11 +18,8 @@ func TestQuickRouteAlwaysValid(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		in := randomInstance(4+rng.Intn(10), rng.Intn(12), 5+rng.Intn(40), rng.Intn(20), seed)
 		opt := Options{
-			RipUpRounds:    []int{-1, 0, 2}[rng.Intn(3)],
-			Order:          NetOrder(rng.Intn(3)),
-			InitialSteiner: SteinerAlg(rng.Intn(2)),
-			RerouteSteiner: SteinerAlg(rng.Intn(2)),
-			KeepWorse:      rng.Intn(2) == 0,
+			RipUpRounds: []int{-1, 0, 2}[rng.Intn(3)],
+			Order:       NetOrder(rng.Intn(2)),
 		}
 		routes, _, err := Route(context.Background(), in, opt)
 		if err != nil {
@@ -50,7 +47,7 @@ func TestQuickRipUpUsageConsistent(t *testing.T) {
 			return false
 		}
 		for round := 0; round < 3; round++ {
-			if _, err := r.ripUpWorstGroup(context.Background(), rng.Intn(2) == 0); err != nil {
+			if _, err := r.ripUpWorstGroup(context.Background()); err != nil {
 				return false
 			}
 			// usage must equal the recount at every point.

@@ -1,7 +1,8 @@
 // Package route implements the NetGroup-aware inter-FPGA routing stage of
 // Sec. III of the paper: KMB-style initial Steiner routing with the θ(n) net
 // ordering of Eq. (1), congestion-aware shortest paths, and the φ(g)-driven
-// rip-up-and-reroute refinement of Sec. III-B.
+// rip-up-and-reroute refinement of Sec. III-B. Reroutes use KMB too, where
+// the paper cites Mehlhorn's construction (DESIGN.md, S13).
 package route
 
 import (
@@ -15,20 +16,6 @@ import (
 	"tdmroute/internal/problem"
 )
 
-// SteinerAlg selects the Steiner-tree construction algorithm.
-type SteinerAlg int
-
-const (
-	// SteinerKMB is the Kou-Markowsky-Berman construction the paper uses
-	// for initial routing (ref [22]): MST of the terminal complete graph
-	// under LUT distances, each tree edge embedded as a shortest path.
-	SteinerKMB SteinerAlg = iota
-	// SteinerMehlhorn is Mehlhorn's Voronoi-region algorithm (the
-	// paper's ref [26], cited for rerouting): one multi-source search
-	// instead of k single-source ones.
-	SteinerMehlhorn
-)
-
 // NetOrder selects the order in which nets are routed initially.
 type NetOrder int
 
@@ -39,26 +26,15 @@ const (
 	OrderThetaAsc NetOrder = iota
 	// OrderNetID routes in netlist order (ablation baseline).
 	OrderNetID
-	// OrderThetaDesc routes critical nets first (ablation baseline).
-	OrderThetaDesc
 )
 
 // Options tunes the router. The zero value selects the paper's defaults.
 type Options struct {
 	// RipUpRounds is the number of rip-up-and-reroute rounds. Each round
 	// rips the NetGroup with the largest congestion estimate φ(g) and
-	// reroutes its nets. Negative disables rip-up; zero selects the
-	// default.
+	// reroutes its nets; a round that does not lower max φ is reverted and
+	// ends the rip-up. Negative disables rip-up; zero selects the default.
 	RipUpRounds int
-	// KeepWorse keeps a rip-up round's result even if it increased the
-	// ripped group's φ estimate. The default reverts such rounds.
-	KeepWorse bool
-	// InitialSteiner selects the initial-routing construction (paper:
-	// KMB).
-	InitialSteiner SteinerAlg
-	// RerouteSteiner selects the rip-up reroute construction (paper
-	// cites Mehlhorn's algorithm there; SteinerKMB is accepted too).
-	RerouteSteiner SteinerAlg
 	// Order selects the initial net ordering (paper: OrderThetaAsc).
 	Order NetOrder
 	// Workers is the most goroutines the routing hot loops (terminal-MST
@@ -170,7 +146,6 @@ func (a *treeArena) commit(s []int) []int {
 // concurrently as long as the base usage array is not mutated meanwhile.
 type netWorker struct {
 	dij     *graph.Dijkstra
-	mehl    *graph.MehlhornSolver
 	cleaner *graph.SteinerCleaner
 
 	// costs is the search cost of a multi-search net from its second
@@ -184,29 +159,21 @@ type netWorker struct {
 	arena treeArena
 }
 
-func newNetWorker(g *graph.Graph, mehlhorn bool) *netWorker {
-	w := &netWorker{
+func newNetWorker(g *graph.Graph) *netWorker {
+	return &netWorker{
 		dij:     graph.NewDijkstra(g),
 		cleaner: graph.NewSteinerCleaner(g),
 		costs:   make([]uint64, g.NumEdges()),
 	}
-	if mehlhorn {
-		w.mehl = graph.NewMehlhornSolver(g)
-	}
-	return w
 }
 
 // clone returns an independent worker over the same graph.
 func (w *netWorker) clone() *netWorker {
-	c := &netWorker{
+	return &netWorker{
 		dij:     w.dij.Clone(),
 		cleaner: w.cleaner.Clone(),
 		costs:   make([]uint64, len(w.costs)),
 	}
-	if w.mehl != nil {
-		c.mehl = w.mehl.Clone()
-	}
-	return c
 }
 
 type router struct {
@@ -245,7 +212,6 @@ type router struct {
 }
 
 func newRouter(in *problem.Instance, opt Options) *router {
-	mehlhorn := opt.InitialSteiner == SteinerMehlhorn || opt.RerouteSteiner == SteinerMehlhorn
 	mstOff := make([]int, len(in.Nets)+1)
 	for n := range in.Nets {
 		slot := len(in.Nets[n].Terminals) - 1
@@ -259,7 +225,7 @@ func newRouter(in *problem.Instance, opt Options) *router {
 		in:      in,
 		opt:     opt,
 		apsp:    graph.NewAPSP(in.G),
-		w0:      newNetWorker(in.G, mehlhorn),
+		w0:      newNetWorker(in.G),
 		routes:  make(problem.Routing, len(in.Nets)),
 		usage:   make([]uint64, in.G.NumEdges()),
 		mstCost: make([]int64, len(in.Nets)),
@@ -381,8 +347,6 @@ func (r *router) initialRoute(ctx context.Context) error {
 	switch r.opt.Order {
 	case OrderThetaAsc:
 		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(theta[a], theta[b]) })
-	case OrderThetaDesc:
-		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(theta[b], theta[a]) })
 	case OrderNetID:
 		// netlist order as initialized
 	}
@@ -395,8 +359,8 @@ func (r *router) initialRoute(ctx context.Context) error {
 
 // embed computes net n's tree with the sequential worker against base and
 // commits it to the shared routing state.
-func (r *router) embed(n int, alg SteinerAlg, mst []graph.WeightedEdge, base []uint64) error {
-	tree, err := r.computeTree(r.w0, n, alg, mst, base)
+func (r *router) embed(n int, mst []graph.WeightedEdge, base []uint64) error {
+	tree, err := r.computeTree(r.w0, n, mst, base)
 	if err != nil {
 		return err
 	}
@@ -417,19 +381,11 @@ func (r *router) commit(n int, tree []int) {
 // on base itself, and only from its second MST edge on is base copied into
 // w.costs, with the net's edges found so far zeroed. It does not touch
 // shared router state, so distinct workers may compute trees concurrently
-// as long as base is not mutated meanwhile. mst may be nil for
-// SteinerMehlhorn.
-func (r *router) computeTree(w *netWorker, n int, alg SteinerAlg, mst []graph.WeightedEdge, base []uint64) ([]int, error) {
+// as long as base is not mutated meanwhile.
+func (r *router) computeTree(w *netWorker, n int, mst []graph.WeightedEdge, base []uint64) ([]int, error) {
 	terms := r.in.Nets[n].Terminals
 	if len(terms) <= 1 {
 		return nil, nil
-	}
-	if alg == SteinerMehlhorn {
-		tree, ok := w.mehl.SteinerTree(terms, base)
-		if !ok {
-			return nil, fmt.Errorf("route: net %d: terminals disconnected", n)
-		}
-		return tree, nil
 	}
 	// KMB: replace each MST edge by a shortest path under the congestion
 	// cost (the net's own edges free to encourage Steiner sharing), then
@@ -526,12 +482,12 @@ func (r *router) phiAll() []int64 {
 
 // ripUpWorstGroup performs one Sec. III-B round: rip every net of the group
 // with the largest φ(g) and reroute them with edge costs counting only the
-// ripped group's own nets. Unless keepWorse is set, the round is reverted
-// when it fails to reduce max φ, and improved=false is returned. A context
+// ripped group's own nets. The round is reverted when it fails to reduce
+// max φ, and improved=false is returned. A context
 // cancellation observed mid-round reverts the partial round the same way
 // and reports improved=false with a nil error: the router's topology stays
 // legal and the caller's round loop stops on its own ctx check.
-func (r *router) ripUpWorstGroup(ctx context.Context, keepWorse bool) (improved bool, err error) {
+func (r *router) ripUpWorstGroup(ctx context.Context) (improved bool, err error) {
 	if len(r.in.Groups) == 0 {
 		return false, nil
 	}
@@ -567,14 +523,11 @@ func (r *router) ripUpWorstGroup(ctx context.Context, keepWorse bool) (improved 
 			r.revertGroup(members, saved)
 			return false, nil
 		}
-		var mst []graph.WeightedEdge
-		if r.opt.RerouteSteiner != SteinerMehlhorn {
-			mst, err = r.terminalMST(n)
-			if err != nil {
-				return false, err
-			}
+		mst, err := r.terminalMST(n)
+		if err != nil {
+			return false, err
 		}
-		if err := r.embed(n, r.opt.RerouteSteiner, mst, groupUsage); err != nil {
+		if err := r.embed(n, mst, groupUsage); err != nil {
 			return false, err
 		}
 		for _, e := range r.routes[n] {
@@ -587,9 +540,6 @@ func (r *router) ripUpWorstGroup(ctx context.Context, keepWorse bool) (improved 
 	// touches only edges on the members' old and new trees, instead of the
 	// two full ψ/φ(g) rescans of the cold implementation.
 	r.cong.flush(members, saved)
-	if keepWorse {
-		return true, nil
-	}
 	newPhi := r.cong.phi
 	newMax := newPhi[0]
 	for _, v := range newPhi {

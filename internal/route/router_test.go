@@ -233,9 +233,11 @@ func TestRipUpNeverWorsensEstimate(t *testing.T) {
 	}
 }
 
+// TestRipUpRoundsStats runs the round cap on an input whose first two
+// rounds lower max φ and stick, so the third round runs too.
 func TestRipUpRoundsStats(t *testing.T) {
-	in := randomInstance(10, 6, 50, 20, 7)
-	_, stats, err := Route(context.Background(), in, Options{RipUpRounds: 3, KeepWorse: true})
+	in := randomInstance(30, 40, 20, 20, 3)
+	_, stats, err := Route(context.Background(), in, Options{RipUpRounds: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +245,7 @@ func TestRipUpRoundsStats(t *testing.T) {
 		t.Errorf("rounds = %d, want 3", stats.RipUpRounds)
 	}
 	if stats.RippedNets == 0 {
-		t.Error("no nets ripped in 3 forced rounds")
+		t.Error("no nets ripped in 3 rounds")
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"context"
 	"fmt"
 
-	"tdmroute/internal/graph"
 	"tdmroute/internal/problem"
 )
 
@@ -91,12 +90,12 @@ func (s *Session) Route(ctx context.Context) (problem.Routing, Stats, error) {
 		if ctx.Err() != nil {
 			break // degrade: keep the current legal topology
 		}
-		improved, err := r.ripUpWorstGroup(ctx, r.opt.KeepWorse)
+		improved, err := r.ripUpWorstGroup(ctx)
 		if err != nil {
 			return nil, Stats{}, err
 		}
 		r.stats.RipUpRounds++
-		if !improved && !r.opt.KeepWorse {
+		if !improved {
 			break // converged: the worst group cannot be improved
 		}
 	}
@@ -150,16 +149,12 @@ func (s *Session) Reroute(ctx context.Context, nets []int) error {
 			r.revertGroup(dedup, saved)
 			return fmt.Errorf("route: reroute interrupted: %w", err)
 		}
-		var mst []graph.WeightedEdge
-		if r.opt.RerouteSteiner != SteinerMehlhorn {
-			var err error
-			mst, err = r.terminalMST(n)
-			if err != nil {
-				r.revertGroup(dedup, saved)
-				return err
-			}
+		mst, err := r.terminalMST(n)
+		if err != nil {
+			r.revertGroup(dedup, saved)
+			return err
 		}
-		if err := r.embed(n, r.opt.RerouteSteiner, mst, r.usage); err != nil {
+		if err := r.embed(n, mst, r.usage); err != nil {
 			r.revertGroup(dedup, saved)
 			return err
 		}

@@ -37,7 +37,7 @@ func TestCongIndexMatchesRescan(t *testing.T) {
 			t.Fatal(err)
 		}
 		for round := 0; round < 8; round++ {
-			improved, err := r.ripUpWorstGroup(context.Background(), false)
+			improved, err := r.ripUpWorstGroup(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}

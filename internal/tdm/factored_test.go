@@ -71,8 +71,8 @@ func (r *cellRef) computePi() {
 			p += r.s.lambda[gi]
 		}
 		r.sqrtPiX[n] = math.Sqrt(p)
-		if p < r.s.opt.PiFloor {
-			p = r.s.opt.PiFloor
+		if p < DefaultPiFloor {
+			p = DefaultPiFloor
 		}
 		r.sqrtPi[n] = math.Sqrt(p)
 	}

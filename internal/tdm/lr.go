@@ -38,7 +38,7 @@ type lrState struct {
 	partialBuf []float64 // reusable per-chunk partial-result buffer
 
 	lambda  []float64 // λ_g, kept projected to sum 1
-	sqrtPi  []float64 // sqrt(max(π_n, PiFloor)) — pattern weights
+	sqrtPi  []float64 // sqrt(max(π_n, DefaultPiFloor)) — pattern weights
 	sqrtPiX []float64 // sqrt(π_n) exact — lower-bound weights
 	edgeSum []float64 // Σ_{n ∈ N_e} sqrtPi[n], the numerator of Eq. (13)
 	netTDM  []float64 // Σ_k t_{e_k n}, written for grouped nets only
@@ -95,8 +95,8 @@ func (s *lrState) build(in *problem.Instance, routes problem.Routing, opt Option
 	s.grpTDM = resize(s.grpTDM, numGroups)
 	s.buildMembership()
 	s.initLambda(opt)
-	if s.windows == nil || s.windows.w != opt.Window || len(s.windows.count) != numGroups {
-		s.windows = newGroupWindows(numGroups, opt.Window)
+	if s.windows == nil || len(s.windows.count) != numGroups {
+		s.windows = newGroupWindows(numGroups, DefaultWindow)
 	} else {
 		s.windows.reset()
 	}
@@ -138,7 +138,7 @@ func (s *lrState) buildMembership() {
 	}
 	// computePi skips the nets in no group: their π is 0 under every λ,
 	// so their weights are set here, once per run.
-	sqrtFloor := math.Sqrt(s.opt.PiFloor)
+	sqrtFloor := math.Sqrt(DefaultPiFloor)
 	for n := range nets {
 		if s.netGrpStart[n] == s.netGrpStart[n+1] {
 			s.setPi(n, 0, sqrtFloor)
@@ -192,7 +192,7 @@ func (s *lrState) initLambda(opt Options) {
 // computePi evaluates π_n = Σ_{g ∋ n} λ_g and the derived square roots for
 // every net in a group; buildMembership has set the others.
 func (s *lrState) computePi() {
-	sqrtFloor := math.Sqrt(s.opt.PiFloor)
+	sqrtFloor := math.Sqrt(DefaultPiFloor)
 	par.For(len(s.sqrtPi), s.opt.Workers, len(s.netGrp), func(_, start, end int) {
 		for n := start; n < end; n++ {
 			lo, hi := s.netGrpStart[n], s.netGrpStart[n+1]
@@ -208,12 +208,12 @@ func (s *lrState) computePi() {
 	})
 }
 
-// setPi stores net n's weights for π_n = p; sqrtFloor is Sqrt(PiFloor).
+// setPi stores net n's weights for π_n = p; sqrtFloor is Sqrt(DefaultPiFloor).
 // Above the floor both weights are the one root Sqrt(p).
 func (s *lrState) setPi(n int, p, sqrtFloor float64) {
 	x := math.Sqrt(p)
 	s.sqrtPiX[n] = x
-	if p < s.opt.PiFloor {
+	if p < DefaultPiFloor {
 		x = sqrtFloor
 	}
 	s.sqrtPi[n] = x
@@ -311,22 +311,20 @@ func (s *lrState) updateMultipliers(z float64) {
 	if z <= 0 {
 		return
 	}
-	alpha, beta := s.opt.Alpha, s.opt.Beta
 	// k at a zero z-score, precomputed: zscore returns exactly 0 for every
 	// group of the first two iterations and for every degenerate window, so
 	// caching one Sigmoid(±0) (both signed zeros give exactly 1/2) removes
 	// the transcendental from those lanes without changing a bit.
-	k0 := (alpha-1)*stats.Sigmoid(0) + 1
-	// A multiplier already at the floor with norm <= 1 and alpha >= 0 stays
-	// at the floor: k > 0 then, so Pow(norm, k) <= 1, the rounded product
-	// cannot exceed minLambda (rounding is monotone), and the clamp puts it
-	// back. The window still records the sample — only the Pow/Sigmoid work
-	// is skipped, not the history.
+	k0 := (DefaultAlpha-1)*stats.Sigmoid(0) + 1
+	// A multiplier already at the floor with norm <= 1 stays at the floor:
+	// k ∈ [1, α] then, so Pow(norm, k) <= 1, the rounded product cannot
+	// exceed minLambda (rounding is monotone), and the clamp puts it back.
+	// The window still records the sample — only the Pow/Sigmoid work is
+	// skipped, not the history.
 	// Every other lane raises norm to k through powNorm, which returns
-	// math.Pow's bits while norm ∈ [2^-64, 1] and k ∈ [1, 4) — every lane
-	// at the default α = 3 — and skips the dispatch and exponent
+	// math.Pow's bits while norm ∈ [2^-64, 1] and k ∈ [1, 4) — α = 3 keeps
+	// every k in that range — and skips the dispatch and exponent
 	// bookkeeping that cannot change a result there.
-	floorFast := alpha >= 0
 	partial := s.scratch(par.NumChunks(len(s.lambda)))
 	par.For(len(s.lambda), s.opt.Workers, len(s.lambda)*lambdaUpdateWork, func(chunk, start, end int) {
 		var sum float64
@@ -334,7 +332,7 @@ func (s *lrState) updateMultipliers(z float64) {
 			norm := s.grpTDM[gi] / z // normalized group TDM ∈ (0, 1]
 			lg := s.lambda[gi]
 			//lint:ignore floateq the floor is an exact-assignment sentinel (the clamp stores the minLambda constant verbatim), so == is a tag test, not a numeric comparison
-			if floorFast && lg == minLambda && norm <= 1 {
+			if lg == minLambda && norm <= 1 {
 				s.windows.push(gi, norm)
 				sum += minLambda
 				continue
@@ -342,7 +340,7 @@ func (s *lrState) updateMultipliers(z float64) {
 			x := s.windows.zscore(gi, norm)
 			k := k0
 			if x != 0 {
-				k = (alpha-1)*stats.Sigmoid(beta*x) + 1
+				k = (DefaultAlpha-1)*stats.Sigmoid(DefaultBeta*x) + 1
 			}
 			s.windows.push(gi, norm)
 			lg *= powNorm(norm, k)
@@ -426,7 +424,7 @@ const warmLambdaFloor = 1e-3
 // updateSubgradient applies the classic projected subgradient ascent with a
 // Polyak step, kept for the ablation study of the Sec. IV-C update rule:
 //
-//	λ_g ← max(λ_g + step·(GTR_g − z), floor),  step = s·(ẑ − LB)/‖grad‖²
+//	λ_g ← max(λ_g + step·(GTR_g − z), floor),  step = (ẑ − LB)/‖grad‖²
 //
 // where ẑ is the best primal value seen (an upper estimate of the dual
 // optimum), followed by simplex projection.
@@ -446,7 +444,7 @@ func (s *lrState) updateSubgradient(z, lb, bestZ float64) {
 	if gap <= 0 {
 		return
 	}
-	step := s.opt.SubgradientStep * gap / norm2
+	step := gap / norm2
 	var total float64
 	const floor = 1e-12
 	for gi := range s.lambda {

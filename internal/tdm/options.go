@@ -6,7 +6,12 @@
 package tdm
 
 // Options tunes Algorithm 1 and the refinement. The zero value selects the
-// paper's published parameters.
+// paper's published parameters. The parameters the paper fixes are
+// constants, not options: the SMA window w = 10 (DefaultWindow), the Sigmoid
+// magnitude α = 3 (DefaultAlpha) and steepness β = 10 (DefaultBeta) of
+// Eqs. (15)–(16), the π_n floor (DefaultPiFloor), the refinement tolerance
+// (DefaultTol), the single refinement sweep of Algorithm 2, and the unit
+// Polyak step of the subgradient baseline.
 type Options struct {
 	// Epsilon is the LR convergence criterion: iteration stops when
 	// (z - LB)/LB <= Epsilon. The paper uses 0.0027 for the small
@@ -17,31 +22,10 @@ type Options struct {
 	// DefaultMaxIter; negative means "no LR iterations" (useful to
 	// benchmark legalization alone).
 	MaxIter int
-	// Window is the SMA window width w (paper: 10).
-	Window int
-	// Alpha is the Sigmoid magnitude α (paper: 3).
-	Alpha float64
-	// Beta is the Sigmoid steepness β (paper: 10).
-	Beta float64
-	// PiFloor is the lower clamp applied to π_n when generating edge
-	// patterns, keeping Eq. (13) well-defined for nets whose every group
-	// has a vanishing multiplier (including nets in no group at all).
-	PiFloor float64
-	// Tol is the preset tolerance subtracted from the refinement margin
-	// ξ_e to absorb floating-point imprecision (Sec. IV-E step 2).
-	Tol float64
-	// RefinePasses is the number of full refinement sweeps over the
-	// edges. The paper performs one; more passes recompute Γ(n) with the
-	// ratios already refined. Zero selects 1; negative disables
-	// refinement (reported results then equal GTR_noref).
-	RefinePasses int
 	// Update selects the multiplier update rule. The default is the
 	// paper's Sigmoid+SMA strategy; UpdateSubgradient is the classic
 	// projected-subgradient baseline kept for the ablation study.
 	Update UpdateRule
-	// SubgradientStep scales the Polyak step of the subgradient rule.
-	// Zero selects 1.
-	SubgradientStep float64
 	// Legal selects the legalization rule: LegalEven (the contest's and
 	// the paper's "positive even integer" domain, the default) or
 	// LegalPow2 (the power-of-two restriction of the paper's refs [2][3],
@@ -93,38 +77,28 @@ const (
 	UpdateSubgradient
 )
 
-// Paper defaults.
+// Paper defaults and fixed parameters.
 const (
 	DefaultEpsilon = 0.0027
 	DefaultMaxIter = 500
-	DefaultWindow  = 10
-	DefaultAlpha   = 3
-	DefaultBeta    = 10
+	// DefaultWindow is the SMA window width w (paper: 10).
+	DefaultWindow = 10
+	// DefaultAlpha is the Sigmoid magnitude α (paper: 3).
+	DefaultAlpha = 3
+	// DefaultBeta is the Sigmoid steepness β (paper: 10).
+	DefaultBeta = 10
+	// DefaultPiFloor is the lower clamp applied to π_n when generating
+	// edge patterns, keeping Eq. (13) well-defined for nets whose every
+	// group has a vanishing multiplier (including nets in no group at all).
 	DefaultPiFloor = 1e-12
-	DefaultTol     = 1e-9
+	// DefaultTol is the preset tolerance subtracted from the refinement
+	// margin ξ_e to absorb floating-point imprecision (Sec. IV-E step 2).
+	DefaultTol = 1e-9
 )
 
 func (o Options) withDefaults() Options {
 	if o.Epsilon == 0 {
 		o.Epsilon = DefaultEpsilon
-	}
-	if o.Window <= 0 {
-		o.Window = DefaultWindow
-	}
-	if o.Alpha == 0 {
-		o.Alpha = DefaultAlpha
-	}
-	if o.Beta == 0 {
-		o.Beta = DefaultBeta
-	}
-	if o.PiFloor <= 0 {
-		o.PiFloor = DefaultPiFloor
-	}
-	if o.Tol <= 0 {
-		o.Tol = DefaultTol
-	}
-	if o.SubgradientStep == 0 {
-		o.SubgradientStep = 1
 	}
 	return o
 }
@@ -141,18 +115,6 @@ func (o Options) maxIter() int {
 		return 0
 	}
 	return o.MaxIter
-}
-
-// refinePasses resolves the RefinePasses sentinel; see maxIter for why this
-// is an accessor rather than a withDefaults rewrite.
-func (o Options) refinePasses() int {
-	switch {
-	case o.RefinePasses == 0:
-		return 1
-	case o.RefinePasses < 0:
-		return 0
-	}
-	return o.RefinePasses
 }
 
 // Report summarizes one assignment run with the Table II columns.

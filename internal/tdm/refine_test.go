@@ -249,31 +249,3 @@ func TestAssignRejectsMismatchedRouting(t *testing.T) {
 		t.Error("expected error for mismatched routing")
 	}
 }
-
-func TestAssignNoRefineOption(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	in, routes := randomAssignInstance(rng)
-	_, rep, err := Assign(context.Background(), in, routes, Options{RefinePasses: -1, Epsilon: 1e-4, MaxIter: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.GTRMax != rep.GTRNoRef {
-		t.Errorf("RefinePasses<0 still refined: %d != %d", rep.GTRMax, rep.GTRNoRef)
-	}
-}
-
-func TestAssignMultiPassNotWorse(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	in, routes := randomAssignInstance(rng)
-	_, one, err := Assign(context.Background(), in, routes, Options{RefinePasses: 1, Epsilon: 1e-4, MaxIter: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, three, err := Assign(context.Background(), in, routes, Options{RefinePasses: 3, Epsilon: 1e-4, MaxIter: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if three.GTRMax > one.GTRMax {
-		t.Errorf("3-pass refinement worse than 1-pass: %d > %d", three.GTRMax, one.GTRMax)
-	}
-}

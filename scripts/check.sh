@@ -4,7 +4,8 @@
 #
 #   scripts/check.sh          # quick: build + vet + short tests
 #   scripts/check.sh full     # adds full tests, the race detector over the
-#                             # whole tree, and CI's bench-smoke packages
+#                             # whole tree, CI's bench-smoke packages and
+#                             # CI's perfbench smoke
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -30,6 +31,8 @@ if [ "${1:-}" = "full" ]; then
   go test -race ./...
   echo "== bench smoke"
   go test -run=NONE -bench=. -benchtime=1x . ./internal/graph ./internal/par ./internal/route ./internal/tdm
+  echo "== perfbench smoke"
+  ./scripts/perfbench_smoke.sh
 else
   echo "== tests (short)"
   go test -short ./...
