@@ -17,7 +17,7 @@ import (
 // (cache_hits_total vs backend accepted counters) make observable.
 func (co *Coordinator) Submit(sub serve.SubmitRequest) (serve.Job, error) {
 	j := co.newJob(sub)
-	j.key = cacheKey(sub)
+	j.text, j.key = contentKey(sub)
 
 	// Retained submissions need a live warm session, so they always run;
 	// everything else may be answered from the content-addressed cache.

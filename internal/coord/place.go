@@ -11,15 +11,17 @@ import (
 	"tdmroute/internal/serve"
 )
 
-// cacheKey is the content address of a submission: SHA-256 over the
-// canonical contest-text serialization of the instance, the mode, and the
-// normalized solver-option tuple (and the fixed routing, for assign mode).
+// contentKey renders the submission's instance in canonical contest text
+// once and returns those bytes, which the coordinator forwards to a backend
+// as they are, and the submission's content address: SHA-256 over the same
+// text, the mode, and the normalized solver-option tuple (and the fixed
+// routing, for assign mode).
 //
 // What the key deliberately excludes defines what "identical" means:
 //
 //   - name: a label, never part of the solved problem. The text
 //     serialization leads with a "# instance <name>" comment, so that header
-//     line is stripped before hashing — otherwise the same instance uploaded
+//     line is left out of the hash — otherwise the same instance uploaded
 //     under two names (or renamed by the server's default) would never hit.
 //   - deadline: an upper bound on wall time. A deadline only changes the
 //     result by degrading it, and degraded results are never cached, so two
@@ -33,19 +35,19 @@ import (
 //
 // Partitions genuinely changes the routing, so distinct values must never
 // share a cache line.
-func cacheKey(sub serve.SubmitRequest) string {
-	h := sha256.New()
-	// The instance in canonical text form, minus the name header. The
-	// serialization cannot fail on a validated instance and a hash.Hash
-	// never errors on Write.
+func contentKey(sub serve.SubmitRequest) (text []byte, key string) {
+	// The serialization cannot fail on a validated instance, and a
+	// hash.Hash never errors on Write.
 	var buf bytes.Buffer
 	problem.WriteInstance(&buf, sub.Instance)
-	body := buf.Bytes()
+	text = buf.Bytes()
+	body := text
 	if bytes.HasPrefix(body, []byte("# instance ")) {
 		if nl := bytes.IndexByte(body, '\n'); nl >= 0 {
 			body = body[nl+1:]
 		}
 	}
+	h := sha256.New()
 	h.Write(body)
 	fmt.Fprintf(h, "|mode=%s|rounds=%d|epsilon=%g|maxiter=%d|ripup=%d|pow2=%t|partitions=%d",
 		sub.Mode, sub.Rounds, sub.Epsilon, sub.MaxIter, sub.RipUp, sub.Pow2, sub.Partitions)
@@ -53,7 +55,7 @@ func cacheKey(sub serve.SubmitRequest) string {
 		h.Write([]byte("|routing|"))
 		problem.WriteRouting(h, sub.Routing)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return text, hex.EncodeToString(h.Sum(nil))
 }
 
 // place ranks the eligible backends by rendezvous (highest-random-weight)

@@ -54,3 +54,9 @@ func TestCacheKeySoundness(t *testing.T) {
 		}
 	}
 }
+
+// cacheKey is the content address contentKey gives sub.
+func cacheKey(sub serve.SubmitRequest) string {
+	_, key := contentKey(sub)
+	return key
+}

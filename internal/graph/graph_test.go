@@ -233,14 +233,16 @@ func TestKruskalForestOnDisconnected(t *testing.T) {
 }
 
 func TestKruskalDeterministicTieBreak(t *testing.T) {
+	// The parallel edge is the first one reversed: its orientation tells
+	// the two apart, and the first input edge must win the tie.
 	edges := []WeightedEdge{
-		{U: 0, V: 1, Weight: 1, Payload: 10},
-		{U: 0, V: 1, Weight: 1, Payload: 20}, // parallel, same weight
-		{U: 1, V: 2, Weight: 1, Payload: 30},
+		{U: 0, V: 1, Weight: 1},
+		{U: 1, V: 0, Weight: 1}, // parallel, same weight
+		{U: 1, V: 2, Weight: 1},
 	}
 	for trial := 0; trial < 5; trial++ {
 		tree := Kruskal(3, edges)
-		if len(tree) != 2 || tree[0].Payload != 10 || tree[1].Payload != 30 {
+		if len(tree) != 2 || tree[0] != edges[0] || tree[1] != edges[2] {
 			t.Fatalf("trial %d: tree = %+v", trial, tree)
 		}
 	}

@@ -7,12 +7,9 @@ import (
 )
 
 // WeightedEdge is an edge of an abstract weighted graph handed to Kruskal.
-// Payload carries caller-defined context (e.g. which net-terminal pair the
-// edge connects) through the MST computation.
 type WeightedEdge struct {
-	U, V    int
-	Weight  int64
-	Payload int
+	U, V   int
+	Weight int64
 }
 
 // Kruskal computes a minimum spanning forest of the abstract graph on

@@ -312,6 +312,18 @@ func (r *router) computeTerminalMST(n int, sc *mstScratch) ([]graph.WeightedEdge
 	return sc.kr.MSTAppend(slot, k, pairs), nil
 }
 
+// sortByTheta orders net ids by increasing θ, equal θ by increasing id.
+// order starts in ascending ids, so this is the stable sort by θ alone,
+// without the stable sort's cost.
+func sortByTheta(order []int, theta []int64) {
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(theta[a], theta[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+}
+
 // initialRoute performs Sec. III-A: compute every net's terminal MST, order
 // nets by increasing θ(n), and embed each MST edge as a congestion-aware
 // shortest path. Cancellation before the last net is embedded returns the
@@ -346,7 +358,7 @@ func (r *router) initialRoute(ctx context.Context) error {
 	}
 	switch r.opt.Order {
 	case OrderThetaAsc:
-		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(theta[a], theta[b]) })
+		sortByTheta(order, theta)
 	case OrderNetID:
 		// netlist order as initialized
 	}

@@ -1,9 +1,11 @@
 package route
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"tdmroute/internal/gen"
@@ -303,6 +305,30 @@ func TestThetaOrderingRoutesCriticalLast(t *testing.T) {
 	for _, e := range routes[1] {
 		if shared[e] {
 			t.Errorf("nets share edge %d despite free alternative", e)
+		}
+	}
+}
+
+// TestSortByThetaMatchesStableSort checks the (θ, net id) sort against the
+// stable sort by θ alone on random θ values drawn from a few values, so
+// most nets tie.
+func TestSortByThetaMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		n := rng.Intn(300)
+		theta := make([]int64, n)
+		for i := range theta {
+			theta[i] = int64(rng.Intn(1 + trial%8))
+		}
+		got := make([]int, n)
+		want := make([]int, n)
+		for i := range got {
+			got[i], want[i] = i, i
+		}
+		sortByTheta(got, theta)
+		slices.SortStableFunc(want, func(a, b int) int { return cmp.Compare(theta[a], theta[b]) })
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d (n %d): order %v, stable sort gives %v", trial, n, got, want)
 		}
 	}
 }
