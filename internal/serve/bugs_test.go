@@ -246,3 +246,24 @@ func TestMetricsWriteReleasesLockBeforeSocket(t *testing.T) {
 	close(bw.release)
 	<-done
 }
+
+// TestFinishHookRunsFirst: a job's finish hook (a delta's warm-session
+// release) runs before the job turns terminal, so a client that has seen
+// a delta finish can submit the next one at once. When the hook ran after,
+// TestServerDeltaEndToEnd's second delta met "409 another delta is
+// running" whenever the finishing worker was descheduled between the two.
+func TestFinishHookRunsFirst(t *testing.T) {
+	j := &job{}
+	j.state = StateRunning
+	terminalInHook := false
+	j.onFinish = func() { terminalInHook = j.State().Terminal() }
+	if !j.finish(StateDone, nil, nil, nil) {
+		t.Fatal("finish refused a running job")
+	}
+	if terminalInHook {
+		t.Fatal("the finish hook ran after the job turned terminal")
+	}
+	if st := j.State(); st != StateDone {
+		t.Fatalf("state %s after finish, want done", st)
+	}
+}
